@@ -4,8 +4,9 @@ The engine's docstring promises a set of timing and determinism
 contracts — integer event times that never run backwards, within-slot
 processing in :class:`~repro.sim.engine.EventKind` order, back-off
 countdowns that never go negative, stale completion events discarded
-via the generation counter, and carrier sensing that prevents a node
-from transmitting into air it can hear is busy.  This module turns
+via the generation counter, carrier sensing that prevents a node
+from transmitting into air it can hear is busy, and back-off state
+that agrees with the air after every reconcile pass.  This module turns
 those promises into machine-checked assertions: install an
 :class:`InvariantChecker` as a listener (the engine does it for you
 when :func:`repro.checks.runtime.runtime_checks_enabled` is true) and
@@ -224,7 +225,8 @@ class InvariantChecker(SimulationListener):
     def on_slot_end(self, slot: int, engine: "SimulationEngine") -> None:
         """Called by the engine after a slot's batch and reconcile pass."""
         self.slots_checked += 1
-        transmitting = {t.sender for t in engine.medium.active_transmissions()}
+        medium = engine.medium
+        transmitting = {t.sender for t in medium.active_transmissions()}
         for node_id, mac in engine.macs.items():
             backoff = mac.backoff
             if backoff.remaining is not None and backoff.remaining < 0:
@@ -266,4 +268,25 @@ class InvariantChecker(SimulationListener):
                     "medium-consistency",
                     f"node {node_id} has an active transmission on the medium "
                     "but its MAC is not in the transmitting state",
+                )
+            if is_transmitting:
+                continue
+            # The reconcile contract the engine's narrowed affected set
+            # relies on: a node whose busy/idle state did not flip needs
+            # no visit because it is already consistent with the air.
+            if backoff.remaining is not None:
+                busy = medium.senses_busy(node_id)
+                if backoff.counting == busy:
+                    self._fail(
+                        slot,
+                        "reconcile-consistency",
+                        f"node {node_id} back-off is "
+                        f"{'counting' if busy else 'frozen'} while it senses "
+                        f"{'busy' if busy else 'idle'} air",
+                    )
+            elif not mac.queue.is_empty:
+                self._fail(
+                    slot,
+                    "reconcile-consistency",
+                    f"node {node_id} has queued traffic but no back-off",
                 )

@@ -9,13 +9,8 @@ Prometheus metrics stream out incrementally, byte-identical to an
 in-process observatory run over the same events.
 """
 
-from repro.serve.capture import (
-    STREAM_SCENARIOS,
-    StreamCapture,
-    capture_scenario,
-    synthetic_links,
-    synthetic_stream,
-)
+from typing import Any
+
 from repro.serve.ingest import (
     DEFAULT_QUEUE_CAP,
     BoundedLineQueue,
@@ -59,6 +54,28 @@ from repro.serve.server import (
     shard_of,
 )
 from repro.serve.shard import merge_results, run_serve
+
+#: Names re-exported from :mod:`repro.serve.capture`, resolved on first
+#: access.  That module is also a ``python -m`` entry point, and runpy
+#: warns when the package import has already loaded it.
+_CAPTURE_EXPORTS = frozenset(
+    {
+        "STREAM_SCENARIOS",
+        "StreamCapture",
+        "capture_scenario",
+        "synthetic_links",
+        "synthetic_stream",
+    }
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _CAPTURE_EXPORTS:
+        from repro.serve import capture
+
+        return getattr(capture, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "STREAM_SCENARIOS",

@@ -16,6 +16,14 @@ countdowns whose medium went idle, and draws fresh back-offs for nodes
 with newly eligible head packets.  Stale completion events are discarded
 via the per-node back-off generation counter.
 
+*Affected nodes.*  After every pass, each non-transmitting node with a
+pending back-off is counting exactly when it senses idle air, and each
+node with queued traffic has a back-off.  So a node needs reconciling
+only when something can break that: its own arrival or transmission,
+a carrier-sense flip (the medium reports these per start and end), a
+relayed packet queued at a receiver, or a mobility epoch (everyone).
+Any other node would see a no-op pass.
+
 *Two-phase transmissions.*  A transmission first occupies the air for
 the RTS+SIFS+CTS handshake.  If by the end of the handshake it was
 corrupted (receiver undecodable, receiver busy or itself transmitting,
@@ -76,6 +84,14 @@ class EventKind(enum.IntEnum):
     MOBILITY_EPOCH = 1
     ARRIVAL = 2
     COUNTDOWN_COMPLETE = 3
+
+
+# Plain-int aliases for the per-event dispatch: comparing against an
+# int local is cheaper than an enum attribute lookup in the hot loop.
+_PHASE = int(EventKind.TRANSMISSION_PHASE)
+_EPOCH = int(EventKind.MOBILITY_EPOCH)
+_ARRIVAL = int(EventKind.ARRIVAL)
+_COUNTDOWN = int(EventKind.COUNTDOWN_COMPLETE)
 
 
 class SimulationEngine:
@@ -272,15 +288,15 @@ class SimulationEngine:
         for _slot, kind, _seq, data in batch:
             for hook in self._event_hooks:
                 hook(slot, kind, data, self)
-            if kind == EventKind.TRANSMISSION_PHASE:
+            if kind == _PHASE:
                 affected |= self._handle_phase(slot, data)
-            elif kind == EventKind.MOBILITY_EPOCH:
+            elif kind == _EPOCH:
                 self._handle_epoch(slot)
                 affected |= set(self.macs)
-            elif kind == EventKind.ARRIVAL:
+            elif kind == _ARRIVAL:
                 self._handle_arrival(slot, data)
                 affected.add(data)
-            elif kind == EventKind.COUNTDOWN_COMPLETE:
+            elif kind == _COUNTDOWN:
                 affected |= self._handle_countdown(slot, data)
         return affected
 
@@ -299,7 +315,14 @@ class SimulationEngine:
         self.macs[tx.sender].complete_transmission(success)
         for hook in self._tx_end_hooks:
             hook(slot, tx, success, self.medium)
-        return self._neighborhood_of(tx.sender) | {tx.sender}
+        affected = self.medium.take_sensing_flips()
+        affected.add(tx.sender)
+        # A relay listener may have queued the packet's next hop at the
+        # receiver; it needs a back-off draw even if its sensing held.
+        receiver = self.macs.get(tx.receiver)
+        if receiver is not None and receiver.needs_backoff_draw():
+            affected.add(tx.receiver)
+        return affected
 
     def _handle_epoch(self, slot: Slots) -> None:
         time_s = slot * self.timing.slot_time_us / 1e6
@@ -364,16 +387,11 @@ class SimulationEngine:
         self.schedule(tx.end_slot, EventKind.TRANSMISSION_PHASE, tx_id)
         for hook in self._tx_start_hooks:
             hook(slot, tx, self.medium)
-        return self._neighborhood_of(node_id) | {node_id}
+        affected = self.medium.take_sensing_flips()
+        affected.add(node_id)
+        return affected
 
     # -- back-off reconciliation -------------------------------------------
-
-    def _neighborhood_of(self, node_id: int) -> "frozenset[int]":
-        """Nodes whose channel view a transition at ``node_id`` can change.
-
-        Returns the medium's cached frozenset directly — callers union
-        it, they never mutate it."""
-        return self.medium.sensors_of(node_id)
 
     def _reconcile(self, slot: Slots, affected: Set[int]) -> None:
         # This pass runs for every affected node on every non-empty slot;

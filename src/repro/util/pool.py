@@ -12,7 +12,11 @@ to the serial loop:
 * whenever the parallel path cannot be set up faithfully — one job, one
   item, no ``fork`` start method, unpicklable items or results, or a
   nested call from inside a worker — execution silently falls back to a
-  serial loop, which is always correct, just slower.
+  serial loop, which is always correct, just slower;
+* an exception raised *by the work function* is never mistaken for a
+  setup failure: the parent re-raises it (the first failing item in
+  item order) with a :class:`WorkerItemError` cause naming the item
+  index and carrying the worker-side traceback.
 
 Higher layers build policy on top of this mechanism:
 :mod:`repro.experiments.parallel` adds per-trial metrics-snapshot
@@ -40,7 +44,8 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import pickle
-from typing import Any, Callable, List, Optional, Sequence
+import traceback
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 #: Environment variable holding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -98,11 +103,39 @@ def pool_active() -> bool:
     return _WORK_FN is not None
 
 
-def _invoke(item: Any) -> Any:
-    """Worker-side trampoline: run the fork-inherited function."""
+class WorkerItemError(Exception):
+    """The cause attached to an exception a work item raised in a worker.
+
+    ``index`` is the item's position in the ``fork_map`` input; the
+    message carries the worker-side traceback.
+    """
+
+    def __init__(self, index: int, remote_traceback: str) -> None:
+        super().__init__(
+            f"fork_map item {index} raised in a worker:\n{remote_traceback}"
+        )
+        self.index = index
+
+
+def _invoke(task: Tuple[int, Any]) -> Tuple[bool, Any]:
+    """Worker-side trampoline: run the fork-inherited function.
+
+    Returns ``(True, result)``, or ``(False, (index, exception,
+    traceback text))`` when the function raised — as a value, so that
+    an error inside the work function can never surface from
+    ``pool.map`` looking like a pickling or fork failure.
+    """
     fn = _WORK_FN
     assert fn is not None, "_invoke outside a fork_map pool"
-    return fn(item)
+    index, item = task
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        try:
+            pickle.dumps(exc)
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        return False, (index, exc, traceback.format_exc())
 
 
 def fork_map(
@@ -119,7 +152,9 @@ def fork_map(
     distinct function when worker-side ``fn`` performs process-local
     setup that must not happen in the parent.  Both must compute the
     same results for the output to be path-independent.  The returned
-    list is in item order.
+    list is in item order.  If ``fn`` raises in a worker, the exception
+    propagates with a :class:`WorkerItemError` cause; the map is not
+    re-run serially.
     """
     global _WORK_FN
     if serial_fn is None:
@@ -139,15 +174,22 @@ def fork_map(
             # on a sample-count condition; boundary tiles are denser
             # than interior ones), so fine-grained dispatch keeps the
             # pool busy.
-            return pool.map(_invoke, items, chunksize=1)
+            outcomes = pool.map(_invoke, list(enumerate(items)), chunksize=1)
     except (
         pickle.PicklingError,            # unpicklable work item
         multiprocessing.pool.MaybeEncodingError,  # unpicklable result
-        AttributeError,
-        TypeError,
+        AttributeError,                  # unpicklable work item (local object)
+        TypeError,                       # unpicklable work item (e.g. a lock)
         OSError,                         # fork/pipe failure
     ):
-        # Work items are pure, so re-running serially is safe.
+        # ``_invoke`` returns errors raised by ``fn`` as values, so
+        # whatever reaches here failed in the pool machinery.  Work
+        # items are pure, so re-running serially is safe.
         return [serial_fn(item) for item in items]
     finally:
         _WORK_FN = None
+    for ok, value in outcomes:
+        if not ok:
+            index, exc, remote_traceback = value
+            raise exc from WorkerItemError(index, remote_traceback)
+    return [value for _ok, value in outcomes]

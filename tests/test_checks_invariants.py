@@ -9,6 +9,7 @@ for the engine/medium/MAC objects.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -27,6 +28,8 @@ from repro.checks.invariants import (
 )
 from repro.sim.engine import EventKind
 from repro.sim.network import Flow, Simulation, SimulationConfig
+from tests.test_golden_fingerprints import GOLDEN_DIR, capture
+from tests.test_reconcile_oracle import relay_simulation
 
 # -- stand-ins for engine internals ------------------------------------------
 
@@ -45,10 +48,16 @@ class FakeState:
         self.value = value
 
 
+class FakeQueue:
+    def __init__(self, length: int = 0) -> None:
+        self.is_empty = length == 0
+
+
 class FakeMac:
-    def __init__(self, **backoff_kwargs: Any) -> None:
+    def __init__(self, queued: int = 0, **backoff_kwargs: Any) -> None:
         self.backoff = FakeBackoff(**backoff_kwargs)
         self.state = FakeState()
+        self.queue = FakeQueue(queued)
 
 
 @dataclass
@@ -64,6 +73,7 @@ class FakeMedium:
     def __init__(self, active: Optional[List[FakeTransmission]] = None) -> None:
         self.active = list(active or [])
         self.sensed: Set[Tuple[int, int]] = set()
+        self.busy: Set[int] = set()
 
     def active_items(self):
         return list(enumerate(self.active))
@@ -73,6 +83,9 @@ class FakeMedium:
 
     def senses(self, a: int, b: int) -> bool:
         return (a, b) in self.sensed
+
+    def senses_busy(self, node_id: int) -> bool:
+        return node_id in self.busy
 
 
 @dataclass
@@ -296,6 +309,47 @@ def test_medium_active_without_mac_trips():
     assert "medium-consistency" in kinds(checker)
 
 
+def test_counting_while_sensing_busy_trips():
+    checker = collecting_checker()
+    engine = _engine_with_node(
+        7, counting=True, remaining=3, initial=15, completion_slot=9
+    )
+    engine.medium.busy.add(7)
+    checker.on_slot_end(5, engine)
+    assert kinds(checker) == ["reconcile-consistency"]
+
+
+def test_frozen_while_sensing_idle_trips():
+    checker = collecting_checker()
+    engine = _engine_with_node(7, counting=False, remaining=3, initial=15)
+    checker.on_slot_end(5, engine)
+    assert kinds(checker) == ["reconcile-consistency"]
+
+
+def test_frozen_while_sensing_busy_passes():
+    checker = collecting_checker()
+    engine = _engine_with_node(7, counting=False, remaining=3, initial=15)
+    engine.medium.busy.add(7)
+    checker.on_slot_end(5, engine)
+    assert checker.ok
+
+
+def test_queued_traffic_without_backoff_trips():
+    checker = collecting_checker()
+    engine = FakeEngine(now=0, macs={7: FakeMac(queued=1)})
+    checker.on_slot_end(5, engine)
+    assert kinds(checker) == ["reconcile-consistency"]
+
+
+def test_transmitting_node_is_exempt_from_reconcile_consistency():
+    checker = collecting_checker()
+    engine = FakeEngine(now=0, macs={7: FakeMac(queued=1)})
+    engine.macs[7].state.value = "transmitting"
+    engine.medium = FakeMedium([FakeTransmission(sender=7)])
+    checker.on_slot_end(5, engine)
+    assert checker.ok
+
+
 def test_idle_node_passes_slot_end():
     checker = collecting_checker()
     engine = _engine_with_node(
@@ -398,3 +452,48 @@ def test_real_run_trips_on_corrupted_backoff():
     mac.backoff.remaining = -1
     checker.on_slot_end(sim.engine.now, sim.engine)
     assert "non-negative-backoff" in kinds(checker)
+
+
+# -- integration: golden scenarios under REPRO_CHECK=1 -----------------------
+
+
+class _CountingChecker(InvariantChecker):
+    """A strict checker that remembers every instance the engine built."""
+
+    instances: List["_CountingChecker"] = []
+
+    def __init__(self, strict: bool = True) -> None:
+        super().__init__(strict=strict)
+        _CountingChecker.instances.append(self)
+
+
+@pytest.fixture
+def checked_runs(monkeypatch):
+    """Turn on REPRO_CHECK and collect the checkers engines install."""
+    from repro.checks import invariants
+
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    monkeypatch.setattr(invariants, "InvariantChecker", _CountingChecker)
+    _CountingChecker.instances = []
+    return _CountingChecker.instances
+
+
+@pytest.mark.parametrize("name", ["grid", "mobile_handoff"])
+def test_golden_scenario_runs_clean_under_checks(name, checked_runs):
+    """Strict checking raises on the first violation; the run must also
+    reproduce its committed golden, since the checker only observes."""
+    fingerprint = capture(name)
+    assert checked_runs and all(c.ok for c in checked_runs)
+    assert sum(c.slots_checked for c in checked_runs) > 0
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert fingerprint == golden
+
+
+def test_relay_run_keeps_queued_receivers_drawn(checked_runs):
+    """Relayed packets land at receivers that may still sense busy air;
+    each must get its back-off draw in the same slot."""
+    sim, relay = relay_simulation()
+    sim.run(4.0)
+    assert relay.forwarded > 0
+    (checker,) = checked_runs
+    assert checker.ok and checker.slots_checked > 0

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -82,6 +85,28 @@ class TestServeParser:
             build_parser().parse_args(
                 ["serve", "--input", "a.jsonl", "--follow", "b.jsonl"]
             )
+
+
+def test_capture_module_entry_point_runs_warning_free(tmp_path):
+    """``python -m repro.serve.capture`` (run by CI) must not trip runpy's
+    already-imported warning, which the package import used to cause."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "stream.jsonl"
+    result = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning",
+            "-m", "repro.serve.capture", "grid",
+            "--duration", "0.2", "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert "captured" in result.stderr
+    assert out.read_text().strip()
 
 
 class TestServeExecution:

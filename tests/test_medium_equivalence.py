@@ -1,10 +1,11 @@
 """Equivalence of the incremental Medium against a brute-force reference.
 
-The incremental carrier-sense indexes (per-listener sensed maps +
-lazy busy-until heaps) must answer every query exactly as a full scan
-of the active transmissions would.  A seeded random driver applies
-start / extend / end / update_positions sequences to both and compares
-every query after every operation.
+The incremental carrier-sense index (per-listener sensed maps) must
+answer every query exactly as a full scan of the active transmissions
+would, and its flip set must name exactly the listeners whose busy/idle
+state changed.  A seeded random driver applies start / extend / end /
+update_positions sequences to both and compares every query after
+every operation.
 """
 
 import pytest
@@ -94,6 +95,8 @@ def test_random_sequences_match_brute_force(seed):
     clock = 0
     for _step in range(300):
         clock += 1
+        busy_before = {node: reference.senses_busy(node) for node in node_ids}
+        sender = None  # set by start / end: whose sensors may flip
         op = rng.integers(0, 100)
         if op < 40 or not live:  # start
             sender = rng.integers(0, nodes)
@@ -109,7 +112,7 @@ def test_random_sequences_match_brute_force(seed):
             reference.start(tx_id, tx)
         elif op < 70:  # end
             tx_id = rng.choice(sorted(live))
-            medium.end_transmission(tx_id)
+            sender = medium.end_transmission(tx_id).sender
             reference.end(tx_id)
         elif op < 90:  # extend (never shrink), sometimes flip the kind
             tx_id = rng.choice(sorted(live))
@@ -123,29 +126,33 @@ def test_random_sequences_match_brute_force(seed):
             medium.update_positions(_positions(rng, nodes))
         live = dict(medium.active_items())
         _assert_equivalent(medium, reference, node_ids)
+        flips = medium.take_sensing_flips()
+        if sender is None:  # extend and epochs never flip carrier sense
+            assert flips == set()
+        else:
+            flipped = {
+                node
+                for node in node_ids
+                if reference.senses_busy(node) != busy_before[node]
+            }
+            assert flips == flipped
+            assert flips <= medium.sensors_of(sender)
 
 
-def test_busy_heap_stays_bounded_on_long_runs():
-    """Lazy deletion must not leak: heaps stay O(active transmissions).
-
-    The busy-until heaps never eagerly remove ended or superseded
-    entries; without periodic compaction a long mobile run with one
-    persistent sensed transmission accumulates one stale tuple per
-    ended/extended transmission forever.  The compaction threshold is
-    ``2 * len(tracked) + slack``, so with a single live transmission
-    the heap must stay a small constant regardless of churn.
-    """
-    rng = RngStream(13, "medium-heap-growth")
+def test_busy_until_stays_exact_under_churn():
+    """Over 2k start/extend/end cycles beside one persistent sensed
+    transmission, busy_until always equals the brute-force maximum and
+    the listener's sensed map holds only live transmissions."""
+    rng = RngStream(13, "medium-busy-until-churn")
     medium = Medium(Channel())
     medium.update_positions({0: (0, 0), 1: (100, 0), 2: (200, 0)})
+    reference = BruteForceReference(medium)
     listener = 1
-    # One persistent transmission keeps listener 1's tracked set
-    # non-empty, so stale entries cannot be cleared by the
-    # everything-ended fast path.
+    # One persistent transmission keeps listener 1 busy throughout.
     persistent = Transmission(sender=0, receiver=1, start_slot=0, end_slot=10**9)
     persistent_id = medium.start_transmission(persistent)
+    reference.start(persistent_id, persistent)
     clock = 0
-    max_heap = 0
     for _cycle in range(2000):
         clock += 1
         tx = Transmission(
@@ -155,21 +162,22 @@ def test_busy_heap_stays_bounded_on_long_runs():
             end_slot=clock + 1 + rng.integers(0, 5),
         )
         tx_id = medium.start_transmission(tx)
+        reference.start(tx_id, tx)
         if rng.integers(0, 2):
-            medium.extend_transmission(tx_id, tx.end_slot + rng.integers(0, 5))
+            medium.extend_transmission(tx_id, 10**9 + rng.integers(1, 5))
+        assert medium.busy_until(listener) == reference.busy_until(listener)
         medium.end_transmission(tx_id)
-        tracked = medium._sensed_active[listener]
-        heap = medium._busy_heaps[listener]
-        assert len(heap) <= 2 * len(tracked) + 16
-        max_heap = max(max_heap, len(heap))
+        reference.end(tx_id)
         assert medium.busy_until(listener) == persistent.end_slot
-    assert max_heap <= 2 * 2 + 16  # never more than two live transmissions
+        assert list(medium._sensed_active[listener]) == [persistent_id]
     medium.end_transmission(persistent_id)
+    reference.end(persistent_id)
     assert medium.busy_until(listener) is None
+    assert listener not in medium._sensed_active
 
 
 def test_extend_keeps_busy_until_exact():
-    """Superseded heap entries must never resurface as busy_until."""
+    """busy_until follows every extension of a sensed transmission."""
     rng = RngStream(5, "medium-extend")
     medium = Medium(Channel())
     medium.update_positions({0: (0, 0), 1: (100, 0), 2: (200, 0)})
