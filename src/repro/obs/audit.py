@@ -36,7 +36,8 @@ detector depends on it, not the other way around.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -66,6 +67,12 @@ AUDIT_FIELDS: Tuple[str, ...] = (
     "sample_size",
 )
 
+#: The canonical JSONL line of a dict (compact, sorted keys, ASCII): audit
+#: and provenance records, and the serve wire records.
+encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_audit_values = attrgetter(*AUDIT_FIELDS)
+
 
 @dataclass(frozen=True)
 class AuditRecord:
@@ -90,7 +97,11 @@ class AuditRecord:
             )
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return dict(zip(AUDIT_FIELDS, _audit_values(self)))
+
+    def to_line(self) -> str:
+        """The record's canonical JSONL line (see :func:`encode_line`)."""
+        return encode_line(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "AuditRecord":
@@ -166,10 +177,7 @@ class DecisionAuditLog:
 
     def to_jsonl(self) -> str:
         """One compact, sorted-key JSON object per line."""
-        return "\n".join(
-            json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-            for r in self.records
-        )
+        return "\n".join(r.to_line() for r in self.records)
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         target = Path(path)

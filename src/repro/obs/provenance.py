@@ -26,9 +26,12 @@ object per line, byte-stable for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
+
+from repro.obs.audit import encode_line
 
 PROVENANCE_SCHEMA = "repro.obs/provenance/v1"
 
@@ -57,6 +60,8 @@ PROVENANCE_FIELDS = (
     "quarantine_drops",
     "skipped_samples",
 )
+
+_provenance_values = attrgetter(*PROVENANCE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,15 @@ class ProvenanceRecord:
     skipped_samples: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        # Shallow copies equal dataclasses.asdict: the items are scalars.
+        return {
+            name: value.copy() if isinstance(value, (list, dict)) else value
+            for name, value in zip(PROVENANCE_FIELDS, _provenance_values(self))
+        }
+
+    def to_line(self) -> str:
+        """The canonical JSONL line; the encoder only reads, so no copies."""
+        return encode_line(dict(zip(PROVENANCE_FIELDS, _provenance_values(self))))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProvenanceRecord":
@@ -180,10 +193,7 @@ class ProvenanceLog:
 
     def to_jsonl(self) -> str:
         """One compact, sorted-key JSON object per line."""
-        return "\n".join(
-            json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-            for r in self.records
-        )
+        return "\n".join(r.to_line() for r in self.records)
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         target = Path(path)

@@ -33,47 +33,68 @@ LinkKey = Tuple[int, int]
 
 
 class EventClock:
-    """The session's monotone stream event counter (shared by tagged logs)."""
+    """The session's monotone stream event counter (shared by tagged logs).
 
-    __slots__ = ("index",)
+    It also collects the links whose logs recorded or reserved since the
+    last :meth:`take_touched`, so emission visits only those links.
+    """
+
+    __slots__ = ("index", "_touched")
 
     def __init__(self) -> None:
         self.index = 0
+        self._touched: Dict[LinkKey, None] = {}  # a dict: first-touch order
+
+    def stamp(self, tags: List[int], key: LinkKey) -> None:
+        """Tag link ``key``'s newest record with the current event index."""
+        tags.append(self.index)
+        self._touched[key] = None
+
+    def take_touched(self) -> List[LinkKey]:
+        """The links touched since the last call, in first-touch order."""
+        keys = list(self._touched)
+        self._touched.clear()
+        return keys
 
 
 class TaggedAuditLog(DecisionAuditLog):
     """An audit log that stamps each record with its stream event index."""
 
-    def __init__(self, clock: EventClock) -> None:
+    def __init__(self, clock: EventClock, key: LinkKey) -> None:
         DecisionAuditLog.__init__(self)
         self._clock = clock
+        self._key = key
         self.tags: List[int] = []
+        #: records already written to an incremental sink
+        self.emitted = 0
 
     def record(self, entry: AuditRecord) -> None:
-        self.tags.append(self._clock.index)
+        self._clock.stamp(self.tags, self._key)
         DecisionAuditLog.record(self, entry)
 
     def reserve(self) -> int:
         # The tag is fixed at reservation: a deferred fill must sort at
         # the event that made the window ready, not at the flush event.
-        self.tags.append(self._clock.index)
+        self._clock.stamp(self.tags, self._key)
         return DecisionAuditLog.reserve(self)
 
 
 class TaggedProvenanceLog(ProvenanceLog):
     """A provenance log that stamps each record with its event index."""
 
-    def __init__(self, clock: EventClock) -> None:
+    def __init__(self, clock: EventClock, key: LinkKey) -> None:
         ProvenanceLog.__init__(self)
         self._clock = clock
+        self._key = key
         self.tags: List[int] = []
+        self.emitted = 0
 
     def record(self, entry: ProvenanceRecord) -> None:
-        self.tags.append(self._clock.index)
+        self._clock.stamp(self.tags, self._key)
         ProvenanceLog.record(self, entry)
 
     def reserve(self) -> int:
-        self.tags.append(self._clock.index)
+        self._clock.stamp(self.tags, self._key)
         return ProvenanceLog.reserve(self)
 
 
@@ -132,9 +153,6 @@ class LinkState:
     provenance: TaggedProvenanceLog
     #: stream event index of the tagged node's most recent end event
     last_active: int = 0
-    #: audit/provenance records already flushed to an incremental sink
-    emitted_audit: int = 0
-    emitted_provenance: int = 0
     ledger: Optional[ObservationLedger] = field(default=None)
 
 

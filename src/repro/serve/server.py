@@ -33,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observatory import BatchScheduler, SharedChannelObservatory
@@ -199,51 +200,46 @@ def export_detector(
     )
 
 
-def merged_audit_jsonl(links: Sequence[LinkExport]) -> str:
-    """All links' audit records in single-process publication order.
+def publication_lines(
+    sources: Iterable[Tuple[int, Sequence[Any], Sequence[int], int]]
+) -> List[str]:
+    """Canonical lines of ``records[start:]`` from each ``(attach_seq,
+    records, tags, start)`` source, in single-process publication order.
 
     Sort key ``(event tag, attach order, per-link index)``: within one
     stream event only one tagged node's links publish, in attach order,
     each appending in sequence — exactly the interleaving one shared
     in-process log records.  Worker layout cannot change any component,
-    so the merge is jobs-invariant.
+    so the merge is jobs-invariant, and the order the sources come in
+    does not matter.
     """
     rows: List[Tuple[Tuple[int, int, int], str]] = []
-    for link in links:
-        for idx, record in enumerate(link.audit_records):
-            tag = link.audit_tags[idx] if idx < len(link.audit_tags) else 0
-            rows.append(
-                (
-                    (tag, link.attach_seq, idx),
-                    json.dumps(
-                        record.to_dict(), sort_keys=True, separators=(",", ":")
-                    ),
-                )
-            )
-    rows.sort(key=lambda row: row[0])
-    return "\n".join(line for _key, line in rows)
+    for attach_seq, records, tags, start in sources:
+        for idx in range(start, len(records)):
+            tag = tags[idx] if idx < len(tags) else 0
+            rows.append(((tag, attach_seq, idx), records[idx].to_line()))
+    rows.sort(key=itemgetter(0))
+    return [line for _key, line in rows]
+
+
+def merged_audit_jsonl(links: Sequence[LinkExport]) -> str:
+    """All links' audit records in publication order, as JSONL."""
+    return "\n".join(
+        publication_lines(
+            (link.attach_seq, link.audit_records, link.audit_tags, 0)
+            for link in links
+        )
+    )
 
 
 def merged_provenance_jsonl(links: Sequence[LinkExport]) -> str:
-    """All links' provenance records in publication order (see audit)."""
-    rows: List[Tuple[Tuple[int, int, int], str]] = []
-    for link in links:
-        for idx, record in enumerate(link.provenance_records):
-            tag = (
-                link.provenance_tags[idx]
-                if idx < len(link.provenance_tags)
-                else 0
-            )
-            rows.append(
-                (
-                    (tag, link.attach_seq, idx),
-                    json.dumps(
-                        record.to_dict(), sort_keys=True, separators=(",", ":")
-                    ),
-                )
-            )
-    rows.sort(key=lambda row: row[0])
-    return "\n".join(line for _key, line in rows)
+    """All links' provenance records in publication order, as JSONL."""
+    return "\n".join(
+        publication_lines(
+            (link.attach_seq, link.provenance_records, link.provenance_tags, 0)
+            for link in links
+        )
+    )
 
 
 def result_fingerprint(links: Sequence[LinkExport]) -> Dict[str, object]:
@@ -370,8 +366,8 @@ class ServeSession:
             return None
         if self.table.needs_eviction():
             self._evict(self.table.pick_victim())
-        audit = TaggedAuditLog(self.clock)
-        provenance = TaggedProvenanceLog(self.clock)
+        audit = TaggedAuditLog(self.clock, key)
+        provenance = TaggedProvenanceLog(self.clock, key)
         detector = self.observatory.attach(
             monitor,
             tagged,
@@ -533,47 +529,30 @@ class ServeSession:
         self._emit_incremental()
 
     def _emit_incremental(self) -> None:
-        """Append newly concrete records to the incremental sinks."""
-        if self.audit_sink is None and self.provenance_sink is None:
-            return
-        if self.audit_sink is not None:
-            rows: List[Tuple[Tuple[int, int, int], str]] = []
-            for state in self.table.states():
-                records = state.audit.records
-                for idx in range(state.emitted_audit, len(records)):
-                    rows.append(
-                        (
-                            (state.audit.tags[idx], state.attach_seq, idx),
-                            json.dumps(
-                                records[idx].to_dict(),
-                                sort_keys=True,
-                                separators=(",", ":"),
-                            ),
-                        )
-                    )
-                state.emitted_audit = len(records)
-            rows.sort(key=lambda row: row[0])
-            for _key, line in rows:
-                self.audit_sink.write(line + "\n")
-        if self.provenance_sink is not None:
-            rows = []
-            for state in self.table.states():
-                records = state.provenance.records
-                for idx in range(state.emitted_provenance, len(records)):
-                    rows.append(
-                        (
-                            (state.provenance.tags[idx], state.attach_seq, idx),
-                            json.dumps(
-                                records[idx].to_dict(),
-                                sort_keys=True,
-                                separators=(",", ":"),
-                            ),
-                        )
-                    )
-                state.emitted_provenance = len(records)
-            rows.sort(key=lambda row: row[0])
-            for _key, line in rows:
-                self.provenance_sink.write(line + "\n")
+        """Append newly concrete records to the incremental sinks.
+
+        Only links whose logs recorded or reserved since the last
+        emission are visited, so the cost scales with new records, not
+        with tracked links.
+        """
+        touched = self.clock.take_touched()
+        for sink, log_of in (
+            (self.audit_sink, attrgetter("audit")),
+            (self.provenance_sink, attrgetter("provenance")),
+        ):
+            if sink is None:
+                continue
+            sources = []
+            for key in touched:
+                state = self.table.get(key)
+                if state is None:
+                    continue
+                log = log_of(state)
+                sources.append((state.attach_seq, log.records, log.tags, log.emitted))
+                log.emitted = len(log.records)
+            lines = publication_lines(sources)
+            if lines:
+                sink.write("\n".join(lines) + "\n")
 
     def _maintain(self) -> None:
         """Prune timelines and compact demuxes behind live query reach."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 from pathlib import Path
@@ -44,7 +45,10 @@ from repro.serve.capture import (
 )
 from repro.serve.server import (
     ServeConfig,
+    ServeSession,
     export_detector,
+    merged_audit_jsonl,
+    merged_provenance_jsonl,
     result_fingerprint,
 )
 from repro.serve.shard import run_serve
@@ -300,3 +304,36 @@ def test_soak_bounded_memory_preserves_live_link_verdicts():
         # observation ids never noticed.
         assert len(capped_link.observations) <= 64 + 8
         assert len(capped_link.observations) < len(uncapped_link.observations)
+
+
+def test_emission_visits_only_links_that_published():
+    """5k registered idle links and one busy one: each incremental
+    emission touches the busy link only, and the streamed artifacts
+    still equal the merged logs."""
+    busy = synthetic_links(1)
+    idle = synthetic_links(5000, monitor_base=10, tagged_base=100_000)
+    audit_sink, provenance_sink = io.StringIO(), io.StringIO()
+    session = ServeSession(
+        ServeConfig(detector=SOAK_CONFIG, flush_every=8, discover=False),
+        links=idle + busy,
+        audit_sink=audit_sink,
+        provenance_sink=provenance_sink,
+    )
+    visited = []
+    lookup = session.table.get
+
+    def spy(key):
+        visited.append(key)
+        return lookup(key)
+
+    session.table.get = spy
+    for line in synthetic_stream(1, 60):
+        session.handle_line(line)
+    result = session.finish()
+
+    assert session.flushes > 1 and audit_sink.getvalue()
+    assert visited and set(visited) == set(busy)
+    assert audit_sink.getvalue() == merged_audit_jsonl(result.links) + "\n"
+    assert (
+        provenance_sink.getvalue() == merged_provenance_jsonl(result.links) + "\n"
+    )

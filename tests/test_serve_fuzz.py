@@ -292,3 +292,82 @@ class TestFuzzTotality:
 
         assert dirty_result.fingerprint() == clean_result.fingerprint()
         assert dirty_result.summary()["rejected"] == {REASON_JSON: len(lines)}
+
+
+#: Wrong-typed replacement values for any one field of a start/end line.
+WRONG_VALUES = {
+    "null": None,
+    "bool": True,
+    "float": 1.5,
+    "string": "7",
+    "nested_list": [[1]],
+    "dict": {},
+}
+#: Items that make an id list (``sensed``/``decoded``) invalid; the
+#: unhashable ones must be rejected before anything hashes them.
+BAD_ID_ITEMS = {"list": [1], "dict": {}, "bool": True, "float": 1.5}
+#: (field, replacement) pairs the schema accepts.
+LEGAL = {
+    ("impairment", "null"),
+    ("impairment", "string"),
+    ("rts", "null"),
+    ("success", "bool"),
+}
+ID_FIELDS = ("sensed", "decoded")
+
+
+def _base_lines() -> dict:
+    start, end = (json.loads(line) for line in _one_exchange(1, 1000, 3))
+    return {"start": start, "end": end}
+
+
+def _typed_mutations() -> list:
+    """(case id, line kind, path to the field, replacement value)."""
+    cases = []
+    for kind, record in _base_lines().items():
+        fields = [(name,) for name in record if name not in ("kind", "observed")]
+        if kind == "end":
+            fields += [("observed",)]
+            fields += [("observed", name) for name in record["observed"]]
+            fields += [("observed", "rts", name) for name in record["observed"]["rts"]]
+        for path in fields:
+            for label, value in WRONG_VALUES.items():
+                if (path[-1], label) not in LEGAL:
+                    case_id = f"{kind}:{'.'.join(path)}={label}"
+                    cases.append((case_id, kind, path, value))
+            if path[-1] in ID_FIELDS:
+                for label, item in BAD_ID_ITEMS.items():
+                    cases.append(
+                        (f"{kind}:{path[-1]}=[{label}]", kind, path, [3, item])
+                    )
+    return cases
+
+
+TYPED_MUTATIONS = _typed_mutations()
+
+
+class TestTypedMutations:
+    """One wrong-typed field per line is a schema reject, never a crash."""
+
+    def test_cases_cover_every_nesting_level(self):
+        depths = {len(path) for _id, _kind, path, _value in TYPED_MUTATIONS}
+        assert depths == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "kind,path,value",
+        [case[1:] for case in TYPED_MUTATIONS],
+        ids=[case[0] for case in TYPED_MUTATIONS],
+    )
+    def test_rejected_as_schema(self, kind, path, value):
+        record = _base_lines()[kind]
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        line = json.dumps(record)
+        with pytest.raises(RecordRejected) as exc:
+            parse_line(line)
+        assert exc.value.reason in (REASON_SCHEMA, REASON_UNKNOWN_KEY)
+        session = _session()
+        assert session.handle_line(line) is None
+        assert _rejected(session, exc.value.reason) == 1
