@@ -217,7 +217,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             sample_size=25,
             known_n=5,
             known_k=5,
-            stats_backend=args.stats_backend,
         ),
         audit=audit,
         provenance=provenance,
@@ -512,13 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export the detector decision audit log as JSONL to OUT",
     )
     demo.add_argument(
-        "--stats-backend",
-        choices=("scalar", "batched"),
-        default="scalar",
-        help="statistical backend for the detector: the scalar reference "
-        "path or the vectorized batched kernel (verdict-identical)",
-    )
-    demo.add_argument(
         "--provenance",
         dest="provenance_out",
         metavar="OUT",
@@ -669,7 +661,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         enable_runtime_checks()
 
     if getattr(args, "jobs", None) is not None:
-        from repro.experiments.parallel import set_default_jobs
+        from repro.util.pool import set_default_jobs
 
         set_default_jobs(args.jobs)
 

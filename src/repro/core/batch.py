@@ -1,43 +1,20 @@
-"""The batched statistical core: numpy-vectorized detection arithmetic.
+"""Vectorized Wilcoxon rank-sum evaluation for many windows at once.
 
-The scalar hot path — Wilcoxon ranking per window, exact-null lookups,
-per-event ARMA ingestion, per-event occupancy folds — prices every
-(monitor, sender) window separately, which caps detection throughput
-once dozens of detectors share one event stream.  This module is the
-``stats_backend="batched"`` implementation behind
-:class:`~repro.core.detector.DetectorConfig`:
-
-* :func:`rank_sum_many` evaluates a whole batch of pending rank-sum
-  windows in one vectorized shot — padded 2-D sample matrices, stable
-  argsort ranking with vectorized tie grouping, and a vectorized normal
-  approximation whose arithmetic mirrors the scalar
-  :func:`~repro.core.ranksum.rank_sum_test` operation-for-operation, so
-  p-values and statistics are bit-identical;
-* :class:`IntervalLedger` is a numpy busy-timeline (sorted disjoint
-  intervals + prefix sums) answering single and *batched* slot-count
-  queries in O(log n), replacing the per-query python interval walk;
-* :class:`LazyArmaFeed` and :class:`OccupancyFeed` defer the per-event
-  estimator folds of the shared observation plane: events append to a
-  per-channel log at ingest, and the exact scalar fold sequence is
-  replayed only when an estimate is actually read.
-
-Equivalence contract: everything observable — verdicts, audit records,
-provenance records, metrics, estimator states at read time — is
-byte-identical to the scalar backend.  The float folds themselves are
-never re-ordered (EWMAs are sequential); only *queries* are batched and
-*when* the folds run changes.  Deferring the ARMA fold is sound because
-the engine caps every transmission at ``exchange_slots`` slots: an
-interval recorded by a later end-event can never start before an
-earlier event's ingest horizon ``slot - exchange_slots``, so the busy
-counts over an already-passed chunk are final (pinned by the
-equivalence suites in ``tests/test_batch.py`` and the golden
-fingerprints).
+The scalar :func:`~repro.core.ranksum.rank_sum_test` ranks one
+(monitor, tagged) window per call.  A streaming session
+(:mod:`repro.serve`) collects hundreds of ready windows per flush; its
+:class:`~repro.core.observatory.BatchScheduler` evaluates them with
+:func:`rank_sum_many` in one numpy pass per alternative — padded 2-D
+sample matrices, stable argsort ranking with vectorized tie grouping,
+and a normal approximation whose arithmetic mirrors the scalar test
+operation-for-operation, so p-values and statistics are bit-identical
+(pinned by ``tests/test_batch.py`` and the serve equivalence suite).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -47,10 +24,6 @@ from repro.core.ranksum import (
     RankSumResult,
     _exact_p,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.core.arma import ArmaTrafficEstimator
-    from repro.core.detector import BackoffMisbehaviorDetector
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -187,307 +160,3 @@ def rank_sum_many(
             )
         )
     return results
-
-
-class IntervalLedger:
-    """Sorted disjoint ``[start, end)`` slot intervals, numpy-backed.
-
-    The batched replacement for ``ChannelViewBase``'s python interval
-    lists: inserts buffer into a pending list and are union-merged in
-    one vectorized pass at the next query; queries run on prefix sums
-    via ``searchsorted`` instead of walking intervals.  The merged form
-    is canonical (touching intervals coalesce, exactly like the scalar
-    ``_add_busy_interval``), so clipped interval lists and slot counts
-    are identical to the scalar bookkeeping regardless of insertion
-    order.
-    """
-
-    __slots__ = (
-        "_starts",
-        "_ends",
-        "_cum",
-        "_count",
-        "_pending",
-        "_last_start",
-        "_last_end",
-        "_total",
-    )
-
-    def __init__(self) -> None:
-        self._starts = np.zeros(16, dtype=np.int64)
-        self._ends = np.zeros(16, dtype=np.int64)
-        self._cum = np.zeros(17, dtype=np.int64)
-        self._count = 0
-        self._pending: List[Tuple[int, int]] = []
-        # Python-int mirrors of the canonical tail (valid when _count > 0)
-        # and of _cum[_count]; they keep the in-order insert fast paths
-        # free of numpy scalar indexing.
-        self._last_start = 0
-        self._last_end = 0
-        self._total = 0
-
-    def add(self, start: int, end: int) -> None:
-        """Insert one interval (empty intervals are dropped, as scalar).
-
-        Simulation traffic arrives almost entirely in start order, so
-        two O(1) fast paths keep the canonical arrays current without a
-        vectorized flush: append when the interval lies strictly past
-        the last one, extend-in-place when it touches only the last
-        one.  Out-of-order inserts fall back to the pending buffer.
-        """
-        if end <= start:
-            return
-        if not self._pending:
-            count = self._count
-            if count == 0 or start > self._last_end:
-                self._ensure(count + 1)
-                self._starts[count] = start
-                self._ends[count] = end
-                self._total += end - start
-                self._cum[count + 1] = self._total
-                self._count = count + 1
-                self._last_start = start
-                self._last_end = end
-                return
-            if start >= self._last_start:
-                # Disjoint + sorted means an interval starting inside
-                # or touching the last one cannot reach any earlier
-                # interval: extend the last in place.
-                if end > self._last_end:
-                    self._total += end - self._last_end
-                    self._ends[count - 1] = end
-                    self._cum[count] = self._total
-                    self._last_end = end
-                return
-        self._pending.append((start, end))
-
-    def _ensure(self, total: int) -> None:
-        if total <= self._starts.size:
-            return
-        capacity = max(total, self._starts.size * 2)
-        for name in ("_starts", "_ends"):
-            grown = np.zeros(capacity, dtype=np.int64)
-            old = getattr(self, name)
-            grown[: self._count] = old[: self._count]
-            setattr(self, name, grown)
-        grown_cum = np.zeros(capacity + 1, dtype=np.int64)
-        grown_cum[: self._count + 1] = self._cum[: self._count + 1]
-        self._cum = grown_cum
-
-    def _flush(self) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        fresh = np.asarray(pending, dtype=np.int64)
-        count = self._count
-        low = int(fresh[:, 0].min())
-        # Frozen intervals ending before the earliest new start can
-        # neither overlap nor touch anything new; merge only the tail.
-        cut = int(np.searchsorted(self._ends[:count], low, side="left"))
-        starts = np.concatenate((self._starts[cut:count], fresh[:, 0]))
-        ends = np.concatenate((self._ends[cut:count], fresh[:, 1]))
-        order = np.argsort(starts, kind="stable")
-        starts = starts[order]
-        ends = ends[order]
-        running_end = np.maximum.accumulate(ends)
-        first = np.empty(starts.size, dtype=bool)
-        first[0] = True
-        # A strictly-greater start opens a new group: touching merges,
-        # exactly like the scalar merge condition ``end >= start``.
-        np.greater(starts[1:], running_end[:-1], out=first[1:])
-        group_at = np.flatnonzero(first)
-        merged_starts = starts[first]
-        last_index = np.append(group_at[1:] - 1, starts.size - 1)
-        merged_ends = running_end[last_index]
-        total = cut + merged_starts.size
-        self._ensure(total)
-        self._starts[cut:total] = merged_starts
-        self._ends[cut:total] = merged_ends
-        np.cumsum(merged_ends - merged_starts, out=self._cum[cut + 1 : total + 1])
-        if cut:
-            self._cum[cut + 1 : total + 1] += self._cum[cut]
-        self._count = total
-        self._last_start = int(self._starts[total - 1])
-        self._last_end = int(self._ends[total - 1])
-        self._total = int(self._cum[total])
-
-    # -- queries -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        self._flush()
-        return self._count
-
-    def overlap(self, start: int, end: int) -> int:
-        """Total covered slots within ``[start, end)``."""
-        self._flush()
-        count = self._count
-        if count == 0 or end <= start:
-            return 0
-        i = int(np.searchsorted(self._ends[:count], start, side="right"))
-        j = int(np.searchsorted(self._starts[:count], end, side="left"))
-        if j <= i:
-            return 0
-        total = int(self._cum[j] - self._cum[i])
-        total -= max(int(start - self._starts[i]), 0)
-        total -= max(int(self._ends[j - 1] - end), 0)
-        return total
-
-    def overlap_many(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`overlap` over parallel bound arrays."""
-        self._flush()
-        count = self._count
-        if count == 0:
-            return np.zeros(len(lows), dtype=np.int64)
-        i = np.searchsorted(self._ends[:count], lows, side="right")
-        j = np.searchsorted(self._starts[:count], highs, side="left")
-        covered = j > i
-        i_safe = np.where(covered, i, 0)
-        j_safe = np.where(covered, j, 1)
-        total = self._cum[j_safe] - self._cum[i_safe]
-        total -= np.maximum(lows - self._starts[i_safe], 0)
-        total -= np.maximum(self._ends[j_safe - 1] - highs, 0)
-        return np.where(covered & (highs > lows), total, 0)
-
-    def intervals_in(self, start: int, end: int) -> List[Tuple[int, int]]:
-        """Covered sub-intervals clipped to ``[start, end)``, sorted."""
-        self._flush()
-        count = self._count
-        if count == 0 or end <= start:
-            return []
-        i = int(np.searchsorted(self._ends[:count], start, side="right"))
-        j = int(np.searchsorted(self._starts[:count], end, side="left"))
-        if j <= i:
-            return []
-        lows = np.maximum(self._starts[i:j], start).tolist()
-        highs = np.minimum(self._ends[i:j], end).tolist()
-        return list(zip(lows, highs))
-
-
-class LazyArmaFeed:
-    """A deferred mirror of the observatory's eager ``_ArmaFeed``.
-
-    The eager feed queries the busy timeline and folds the ARMA
-    estimator on *every* end event.  This feed instead remembers how far
-    into the channel's end-slot log it has folded; :meth:`sync` replays
-    the exact chunk sequence the eager feed would have produced (same
-    ``[cursor, slot - exchange_slots)`` boundaries, same
-    ``ingest(busy, total)`` float folds), batching the busy-count
-    queries through the channel's :class:`IntervalLedger`.  Chunks only
-    cover slots at least one full exchange old, and no later event can
-    add busy mass below its own ingest horizon, so replaying late reads
-    the same counts the eager feed read live.
-    """
-
-    __slots__ = (
-        "arma",
-        "exchange_slots",
-        "cursor",
-        "birth_slot",
-        "detectors",
-        "_channel",
-        "_log_index",
-    )
-
-    def __init__(
-        self,
-        arma: "ArmaTrafficEstimator",
-        exchange_slots: int,
-        channel: "_BatchChannel",
-    ) -> None:
-        self.arma = arma
-        self.exchange_slots = exchange_slots
-        self.cursor = 0
-        self.birth_slot: Optional[int] = None
-        self.detectors: List["BackoffMisbehaviorDetector"] = []
-        self._channel = channel
-        self._log_index = len(channel._end_slot_log)
-
-    def start(self, start_slot: int) -> None:
-        """First event after creation: fix birth slot, as the eager feed."""
-        self.birth_slot = start_slot
-        self.cursor = start_slot
-        for detector in self.detectors:
-            detector._birth_slot = start_slot
-            detector._arma_cursor = start_slot
-
-    def sync(self) -> None:
-        """Fold every event logged since the last sync into the ARMA."""
-        log = self._channel._end_slot_log
-        logged = len(log)
-        index = self._log_index
-        if index >= logged or self.birth_slot is None:
-            return
-        self._log_index = logged
-        exchange = self.exchange_slots
-        cursor = self.cursor
-        lows: List[int] = []
-        highs: List[int] = []
-        for j in range(index, logged):
-            target = log[j] - exchange
-            if target > cursor:
-                lows.append(cursor)
-                highs.append(target)
-                cursor = target
-        self.cursor = cursor
-        if not lows:
-            return
-        ledger = self._channel._busy
-        ingest = self.arma.ingest
-        if len(lows) <= 4:
-            # Incremental syncs usually carry a handful of chunks;
-            # per-chunk scalar queries skip the array round-trip.
-            for low, high in zip(lows, highs):
-                ingest(ledger.overlap(low, high), high - low)
-            return
-        busies = ledger.overlap_many(
-            np.asarray(lows, dtype=np.int64), np.asarray(highs, dtype=np.int64)
-        )
-        for low, high, busy in zip(lows, highs, busies.tolist()):
-            ingest(busy, high - low)
-
-
-class OccupancyFeed:
-    """Deferred per-detector occupancy EWMA over a shared channel log.
-
-    The channel logs ``(sender, sensors)`` once per sensed foreign
-    event; each detector folds the entries it has not consumed yet —
-    the identical ``_record_occupancy`` float sequence the eager loop
-    ran per event — only when ``p_ib_scale`` is actually read.  The
-    logged ``sensors`` frozenset is the medium's cached value captured
-    at event time, so mobility epochs between log and fold cannot skew
-    the replay.
-    """
-
-    __slots__ = ("_log", "_index", "_detector")
-
-    def __init__(
-        self,
-        log: List[Tuple[int, frozenset]],
-        detector: "BackoffMisbehaviorDetector",
-    ) -> None:
-        self._log = log
-        self._index = len(log)
-        self._detector = detector
-
-    def sync(self) -> None:
-        log = self._log
-        logged = len(log)
-        index = self._index
-        if index >= logged:
-            return
-        self._index = logged
-        detector = self._detector
-        tagged = detector.tagged_id
-        record = detector._record_occupancy
-        for j in range(index, logged):
-            sender, sensors = log[j]
-            if sender != tagged:
-                record(invisible=tagged not in sensors)
-
-
-class _BatchChannel:
-    """Structural protocol of the channel state the feeds consume."""
-
-    _end_slot_log: List[int]
-    _busy: IntervalLedger

@@ -23,28 +23,28 @@ observable output *identical* to the serial run:
 Trials must therefore be *pure functions of their task tuple* (plus
 process-wide configuration like ``REPRO_SCALE``): no mutating shared
 state, no RNG outside the seeded streams.  Task tuples and results
-cross a process boundary, so both must pickle; when they cannot — or
-when the platform has no ``fork`` — the substrate silently falls back
-to the serial loop, which is always correct, just slower.
+cross a process boundary, so both must pickle.  Failures are loud:
+
+* an exception raised inside a trial propagates with a
+  :class:`~repro.util.pool.WorkerItemError` cause naming the task index;
+* a worker that dies (for example OOM-killed) raises
+  :class:`~repro.util.pool.WorkerDiedError` at once, with no serial
+  re-run;
+* only when tasks or results cannot be pickled, or the platform has no
+  ``fork``, does the substrate fall back to the serial loop, which is
+  always correct, just slower.
 
 Worker-count resolution lives in :mod:`repro.util.pool` (first match
-wins): the ``jobs=`` argument, :func:`set_default_jobs` (the CLI's
-``--jobs`` flag), the ``REPRO_JOBS`` environment variable, else 1
-(serial).  A value of 0 means "all CPU cores".  ``JOBS_ENV``,
-``resolve_jobs`` and ``set_default_jobs`` are re-exported here for
-compatibility with pre-split callers.
+wins): the ``jobs=`` argument, :func:`~repro.util.pool.set_default_jobs`
+(the CLI's ``--jobs`` flag), the ``REPRO_JOBS`` environment variable,
+else 1 (serial).  A value of 0 means "all CPU cores".
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.util.pool import (  # noqa: F401  (re-exported)
-    JOBS_ENV,
-    fork_map,
-    resolve_jobs,
-    set_default_jobs,
-)
+from repro.util.pool import fork_map
 
 #: The trial function of the in-flight sweep, inherited by forked
 #: workers (set immediately before the pool dispatch, cleared after).

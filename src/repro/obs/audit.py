@@ -112,8 +112,9 @@ class AuditRecord:
 
 
 #: Placeholder occupying a reserved slot until :meth:`DecisionAuditLog.fill`
-#: replaces it.  Identity-compared, never serialized: a batched-backend
-#: flush always fills every reservation within the same dispatch.
+#: replaces it.  Identity-compared, never serialized: a
+#: :class:`~repro.core.observatory.BatchScheduler` flush fills every
+#: reservation before its owner emits the log.
 _DEFERRED = AuditRecord(
     slot=-1,
     monitor=-1,
@@ -127,11 +128,11 @@ _DEFERRED = AuditRecord(
 class DecisionAuditLog:
     """An append-only list of :class:`AuditRecord`, JSONL in and out.
 
-    The batched statistical backend evaluates rank-sum windows at the
-    end of a dispatch rather than at ingest; :meth:`reserve` /
-    :meth:`fill` let it keep each deferred record at the exact index an
-    eager evaluation would have written, so audit streams stay
-    byte-identical across backends.
+    A :class:`~repro.core.observatory.BatchScheduler` (the streaming
+    service's) evaluates rank-sum windows at its flush rather than at
+    ingest; :meth:`reserve` / :meth:`fill` let it keep each deferred
+    record at the exact index an eager evaluation would have written,
+    so audit streams do not depend on the flush cadence.
     """
 
     def __init__(self, records: Optional[Iterable[AuditRecord]] = None) -> None:

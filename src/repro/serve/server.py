@@ -2,7 +2,7 @@
 
 :class:`ServeSession` replays a wire stream (:mod:`repro.serve.records`)
 through the exact in-process machinery — a
-:class:`~repro.core.observatory.SharedChannelObservatory` of scalar
+:class:`~repro.core.observatory.SharedChannelObservatory` of
 :class:`~repro.core.detector.BackoffMisbehaviorDetector` subscriptions —
 via the observatory's medium-free ``ingest_*`` methods.  Three things
 distinguish it from a simulator run:
@@ -101,15 +101,6 @@ class ServeConfig:
     shard_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.detector.stats_backend != "scalar":
-            # Batched channels log every end slot forever (replay
-            # scripts for the lazy feeds) — unbounded by design.  The
-            # session gets its batching from the shared scheduler
-            # instead, over prunable scalar channels.
-            raise ValueError(
-                "ServeConfig requires stats_backend='scalar'; the session's "
-                "own BatchScheduler provides the vectorized evaluation"
-            )
         if self.flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {self.flush_every}")
         if self.maintain_every < 0:
@@ -377,7 +368,7 @@ class ServeSession:
             metrics=self.link_metrics,
             provenance=provenance,
         )
-        # Scalar detectors evaluate eagerly on their own; pointing them
+        # Detectors evaluate eagerly on their own; pointing them
         # at the session scheduler defers every ready window to the
         # flush-cadence rank_sum_many batch instead (byte-identical —
         # the deferral snapshots window + counters and reserves log

@@ -1,22 +1,20 @@
-"""Equivalence tests for the batched statistical core (repro.core.batch).
+"""Equivalence tests for vectorized rank-sum evaluation (repro.core.batch).
 
-The contract under test is *bit-identity*: every value the batched
-backend produces — rank-sum statistics and p-values, busy-slot counts,
-ARMA and occupancy estimator states — must equal the scalar reference
-exactly (``==`` on floats, not approx), because the golden-fingerprint
-suite hashes reprs of everything downstream.
+The contract under test is *bit-identity*: every rank-sum statistic
+and p-value :func:`rank_sum_many` produces, and every verdict, audit
+and provenance record a :class:`BatchScheduler` publishes, must equal
+the eager scalar reference exactly (``==`` on floats, not approx),
+because the golden-fingerprint suites hash reprs of everything
+downstream.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from repro.core.arma import ArmaTrafficEstimator
-from repro.core.batch import IntervalLedger, LazyArmaFeed, rank_sum_many
-from repro.core.observation import ChannelViewBase
+from repro.core.batch import rank_sum_many
+from repro.core.observatory import BatchScheduler, SharedChannelObservatory
 from repro.core.ranksum import ALTERNATIVES, rank_sum_test
 
 # Samples that provoke every rank-sum regime: coarse integers force
@@ -98,159 +96,51 @@ class TestRankSumManyEquivalence:
             rank_sum_many([[1.0]], [[1.0], [2.0]], "less")
 
 
-intervals = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=400),
-        st.integers(min_value=1, max_value=30),
-    ).map(lambda p: (p[0], p[0] + p[1])),
-    min_size=0,
-    max_size=40,
-)
-windows = st.lists(
-    st.tuples(
-        st.integers(min_value=-10, max_value=450),
-        st.integers(min_value=-5, max_value=60),
-    ).map(lambda p: (p[0], p[0] + p[1])),
-    min_size=1,
-    max_size=10,
-)
+class _FlushingObservatory(SharedChannelObservatory):
+    """An observatory whose detectors defer windows to one scheduler,
+    flushed every ``every``-th end event (a coarse cadence, as serve
+    runs)."""
 
+    def __init__(self, every):
+        super().__init__()
+        self.scheduler = BatchScheduler()
+        self._every = every
+        self._ends = 0
+        #: windows ranked by the scheduler's flushes so far
+        self.flushed = 0
 
-class TestIntervalLedgerEquivalence:
-    @settings(max_examples=80, deadline=None)
-    @given(spans=intervals, queries=windows, flush_every=st.integers(1, 7))
-    def test_matches_scalar_interval_algebra(self, spans, queries, flush_every):
-        ledger = IntervalLedger()
-        reference = ChannelViewBase()
-        for i, (lo, hi) in enumerate(spans):
-            ledger.add(lo, hi)
-            reference._add_busy_interval(lo, hi)
-            if i % flush_every == 0:
-                # Interleave queries with inserts so the incremental
-                # tail-merge (not just one big final flush) is exercised.
-                q_lo, q_hi = queries[i % len(queries)]
-                assert ledger.overlap(q_lo, q_hi) == reference.busy_slots_in(
-                    q_lo, q_hi
-                )
-        assert len(ledger) == len(reference._busy_starts)
-        for q_lo, q_hi in queries:
-            assert ledger.overlap(q_lo, q_hi) == reference.busy_slots_in(
-                q_lo, q_hi
-            )
-            assert ledger.intervals_in(q_lo, q_hi) == (
-                reference.busy_intervals_in(q_lo, q_hi)
-            )
-        lows = np.asarray([q[0] for q in queries], dtype=np.int64)
-        highs = np.asarray([q[1] for q in queries], dtype=np.int64)
-        expected = [reference.busy_slots_in(q[0], q[1]) for q in queries]
-        assert ledger.overlap_many(lows, highs).tolist() == expected
+    def attach(self, *args, **kwargs):
+        detector = super().attach(*args, **kwargs)
+        detector._batch_scheduler = self.scheduler
+        return detector
 
-    def test_touching_intervals_coalesce(self):
-        ledger = IntervalLedger()
-        ledger.add(0, 5)
-        ledger.add(5, 9)    # touching: one canonical interval, like scalar
-        ledger.add(20, 25)
-        assert len(ledger) == 2
-        assert ledger.intervals_in(0, 100) == [(0, 9), (20, 25)]
-        assert ledger.overlap(3, 22) == 8
+    def ingest_end(self, *args, **kwargs):
+        super().ingest_end(*args, **kwargs)
+        self._ends += 1
+        if self._ends % self._every == 0:
+            self.flush()
 
-    def test_empty_inserts_dropped(self):
-        ledger = IntervalLedger()
-        ledger.add(7, 7)
-        ledger.add(9, 4)
-        assert len(ledger) == 0
-        assert ledger.overlap(0, 100) == 0
-        assert ledger.overlap_many(
-            np.array([0], dtype=np.int64), np.array([100], dtype=np.int64)
-        ).tolist() == [0]
-
-
-class _FakeChannel:
-    """Minimal _BatchChannel: an end-slot log over an IntervalLedger."""
-
-    def __init__(self):
-        self._end_slot_log = []
-        self._busy = IntervalLedger()
-
-
-class TestLazyArmaFeed:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=40),   # gap to next start
-                st.integers(min_value=1, max_value=30),   # duration
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        sync_every=st.integers(min_value=1, max_value=20),
-    )
-    def test_replay_matches_eager_fold(self, events, sync_every):
-        """Deferred sync must reproduce the eager per-event fold exactly."""
-        exchange_slots = 30  # >= max duration, as the engine guarantees
-        eager_view = ChannelViewBase()
-        eager_arma = ArmaTrafficEstimator(alpha=0.9, sample_interval_slots=25)
-        channel = _FakeChannel()
-        lazy_arma = ArmaTrafficEstimator(alpha=0.9, sample_interval_slots=25)
-        feed = LazyArmaFeed(lazy_arma, exchange_slots, channel)
-
-        slot = 0
-        cursor = birth = None
-        for i, (gap, duration) in enumerate(events):
-            start = slot + gap
-            end = start + duration
-            slot = end
-            if birth is None:
-                birth = cursor = start
-                feed.start(start)
-            # Eager path: ingest interval, advance to end - exchange.
-            eager_view._add_busy_interval(start, end)
-            target = end - exchange_slots
-            if target > cursor:
-                idle, busy = eager_view.idle_busy_counts(cursor, target)
-                eager_arma.ingest(busy, idle + busy)
-                cursor = target
-            # Batched path: log only; fold later.
-            channel._busy.add(start, end)
-            channel._end_slot_log.append(end)
-            if i % sync_every == 0:
-                feed.sync()
-        feed.sync()
-        assert lazy_arma.estimate == eager_arma.estimate
-        assert lazy_arma.warmed_up == eager_arma.warmed_up
-        assert lazy_arma.intervals_consumed == eager_arma.intervals_consumed
-        assert lazy_arma._pending_busy == eager_arma._pending_busy
-        assert lazy_arma._pending_total == eager_arma._pending_total
-        assert feed.cursor == cursor
-        assert feed.birth_slot == birth
-
-    def test_sync_before_first_event_is_noop(self):
-        channel = _FakeChannel()
-        arma = ArmaTrafficEstimator()
-        feed = LazyArmaFeed(arma, 30, channel)
-        feed.sync()
-        assert arma.estimate == 0.0
-        assert feed.birth_slot is None
+    def flush(self):
+        self.flushed += len(self.scheduler)
+        self.scheduler.flush()
 
 
 class TestObservatoryBackendEquivalence:
-    """Full-run stream identity between the scalar and batched backends.
+    """Full-run stream identity between eager and deferred evaluation.
 
-    The golden suite pins both backends against committed hashes; this
-    test compares the two backends *directly* on one dense run —
-    including provenance records, which the goldens do not hash — with
-    a short warmup so rank-sum windows flow through the batched
-    scheduler's defer/reserve/fill path.
+    The golden suite pins the eager path against committed hashes; this
+    test compares it *directly* against :class:`BatchScheduler`
+    deferral on one dense run — including provenance records, which the
+    goldens do not hash — with a short warmup so rank-sum windows flow
+    through the scheduler's defer/reserve/fill path.
     """
 
-    def _run(self, backend):
+    def _run(self, flush_every):
         import dataclasses
         import itertools
         import json
 
         from repro.core.detector import DetectorConfig, reset_region_cache
-        from repro.core.observatory import SharedChannelObservatory
         from repro.experiments.scenarios import MultiMonitorGridScenario
         from repro.mac.misbehavior import PercentageMisbehavior
         from repro.obs.audit import DecisionAuditLog
@@ -262,7 +152,6 @@ class TestObservatoryBackendEquivalence:
         config = dataclasses.replace(
             DetectorConfig(sample_size=25, known_n=5, known_k=5),
             warmup_slots=10_000,
-            stats_backend=backend,
         )
         scenario = MultiMonitorGridScenario(seed=7)
         taggeds = scenario.tagged_nodes()
@@ -273,7 +162,10 @@ class TestObservatoryBackendEquivalence:
         sim, pairs = scenario.build(policies=policies)
         audit = DecisionAuditLog()
         provenance = ProvenanceLog()
-        observatory = SharedChannelObservatory()
+        if flush_every is None:
+            observatory = SharedChannelObservatory()
+        else:
+            observatory = _FlushingObservatory(flush_every)
         sim.add_listener(observatory)
         detectors = [
             observatory.attach(
@@ -287,6 +179,10 @@ class TestObservatoryBackendEquivalence:
             for monitor, tagged in pairs
         ]
         sim.run(2.0)
+        if flush_every is not None:
+            observatory.flush()
+            # The run must actually exercise the deferred rank-sum path.
+            assert observatory.flushed > 0
         streams = {
             "observations": [
                 repr(o) for d in detectors for o in d.observations
@@ -302,9 +198,8 @@ class TestObservatoryBackendEquivalence:
         return streams, rules
 
     def test_streams_byte_identical(self):
-        scalar, scalar_rules = self._run("scalar")
-        batched, batched_rules = self._run("batched")
-        # The run must actually exercise the deferred rank-sum path.
-        assert scalar_rules.get("rank_sum", 0) > 0
-        assert scalar_rules == batched_rules
-        assert scalar == batched
+        eager, eager_rules = self._run(None)
+        deferred, deferred_rules = self._run(flush_every=5)
+        assert eager_rules.get("rank_sum", 0) > 0
+        assert eager_rules == deferred_rules
+        assert eager == deferred
