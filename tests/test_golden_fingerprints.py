@@ -43,6 +43,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5)
 
+#: Figure 3's measured (rho, p(B|I), p(I|B)) for load 0.04, seed 4 over
+#: 20,000 slots, captured from two private per-node channel observers.
+FIG3_SEED_SAMPLE = (0.46095, 0.03858640200352472, 0.17691723614274868)
+
 #: The detector has one statistical backend; the parameter keeps the
 #: suite's ``<scenario>-scalar`` test ids stable.
 BACKENDS = {"scalar": CONFIG}
@@ -131,10 +135,36 @@ def _run_multi_monitor(config):
     return detectors, audit, registry, {}
 
 
+def _run_faulted(config):
+    """A grid run with 35% of the monitor's RTS decodes failing.
+
+    Pins fault injection end to end: which observations quarantine and
+    why, and the verdicts that survive them.
+    """
+    from repro.faults import set_fault_spec
+
+    set_fault_spec("decode=0.35,seed=13")
+    try:
+        detectors, audit, registry, _extra = _run_single(
+            config, lambda: GridScenario(load=0.6, seed=11), 40, 80, 30.0
+        )
+    finally:
+        set_fault_spec(None)
+    (detector,) = detectors
+    extra = {
+        "quarantine_counts": dict(sorted(detector.quarantine_counts.items())),
+        "observed_sha256": _sha(
+            "\n".join(repr(o) for o in detector.observer.observed)
+        ),
+    }
+    return detectors, audit, registry, extra
+
+
 SCENARIOS = {
     "grid": lambda config: _run_single(
         config, lambda: GridScenario(seed=5), 60, 150, 40.0
     ),
+    "grid_faults": _run_faulted,
     "random": lambda config: _run_single(
         config, lambda: RandomScenario(seed=5), 50, 120, 40.0
     ),
@@ -210,3 +240,13 @@ def test_tracing_on_leaves_fingerprints_unchanged():
     )
     timestamps = [e["ts"] for e in doc["traceEvents"] if e["ph"] != "M"]
     assert timestamps == sorted(timestamps)
+
+
+def test_fig3_measure_seed_pinned():
+    """One Figure 3 observation run reproduces its committed
+    (rho, p(B|I), p(I|B)) exactly."""
+    from repro.experiments.fig3 import _measure_seed, grid_poisson_factory
+
+    _fresh_process_state()
+    sample = _measure_seed((grid_poisson_factory, 0.04, 4, 20_000))
+    assert sample == FIG3_SEED_SAMPLE
