@@ -17,8 +17,9 @@ from repro import (
     NoExponentialBackoff,
     PercentageMisbehavior,
     RngStream,
+    SharedChannelObservatory,
 )
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
 from repro.experiments.scenarios import GridScenario
 
 
@@ -28,12 +29,13 @@ def evaluate(policy, seed):
     # second installs the strategy on it.
     _sim, sender, _monitor = scenario.build()
     sim, sender, monitor = scenario.build(policies={sender: policy})
-    detector = BackoffMisbehaviorDetector(
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(
         monitor,
         sender,
         config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
     )
-    sim.add_listener(detector)
     sim.run(
         30.0,
         stop_condition=lambda: len(detector.observations) >= 150,

@@ -10,7 +10,8 @@ detector still converging on a PM = 60 cheater.
 Run:  python examples/mobile_network.py
 """
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
+from repro.core.observatory import SharedChannelObservatory
 from repro.experiments.scenarios import RandomScenario
 from repro.mac.misbehavior import PercentageMisbehavior
 
@@ -21,13 +22,16 @@ def run(pm, seed=9):
     sim, sender, monitor = scenario.build(
         policies={sender: PercentageMisbehavior(pm)} if pm else None
     )
-    detector = BackoffMisbehaviorDetector(
+    # The observatory also forwards each mobility epoch to the detector,
+    # which re-derives its region geometry from the new separation.
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(
         monitor,
         sender,
         config=DetectorConfig(sample_size=25),
         separation=scenario.separation,
     )
-    sim.add_listener(detector)
     sim.run(60.0, stop_condition=lambda: len(detector.observations) >= 120)
     return detector
 

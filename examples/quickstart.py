@@ -9,10 +9,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    BackoffMisbehaviorDetector,
     DetectorConfig,
     Flow,
     PercentageMisbehavior,
+    SharedChannelObservatory,
     Simulation,
     SimulationConfig,
     center_pair_indices,
@@ -39,12 +39,15 @@ def main():
         config=SimulationConfig(seed=42),
     )
 
-    detector = BackoffMisbehaviorDetector(
+    # The observatory records what each monitor node senses; the
+    # detector subscribes to the monitor's view of the sender.
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(
         monitor,
         sender,
         config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
     )
-    sim.add_listener(detector)
 
     print(f"monitoring node {sender} from node {monitor} ...")
     sim.run(duration_s=6.0)

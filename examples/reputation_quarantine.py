@@ -10,10 +10,10 @@ Run:  python examples/reputation_quarantine.py
 """
 
 from repro import (
-    BackoffMisbehaviorDetector,
     DetectorConfig,
     Flow,
     PercentageMisbehavior,
+    SharedChannelObservatory,
     Simulation,
     SimulationConfig,
     grid_positions,
@@ -47,14 +47,15 @@ def main():
         policies={s: p for s, p in subjects.items() if p is not None},
         config=SimulationConfig(seed=77),
     )
-    detectors = {}
-    for sender, monitor in monitors.items():
-        det = BackoffMisbehaviorDetector(
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detectors = {
+        sender: observatory.attach(
             monitor, sender,
             config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
         )
-        sim.add_listener(det)
-        detectors[sender] = det
+        for sender, monitor in monitors.items()
+    }
 
     sim.run(duration_s=15.0)
 

@@ -5,8 +5,8 @@ Manjunath; IEEE ICDCS 2006).
 Quick start::
 
     from repro import (
-        Simulation, Flow, grid_positions, BackoffMisbehaviorDetector,
-        PercentageMisbehavior,
+        Simulation, Flow, grid_positions, PercentageMisbehavior,
+        SharedChannelObservatory,
     )
 
     positions = grid_positions()                 # the paper's 7x8 grid
@@ -16,8 +16,9 @@ Quick start::
         flows=[Flow(source=sender, load=0.6)],
         policies={sender: PercentageMisbehavior(pm=50)},
     )
-    detector = BackoffMisbehaviorDetector(monitor, sender)
-    sim.add_listener(detector)
+    observatory = SharedChannelObservatory()   # sees the channel for
+    sim.add_listener(observatory)              # every detector
+    detector = observatory.attach(monitor, sender)
     sim.run(duration_s=5.0)
     print(detector.latest_verdict)
 
@@ -31,11 +32,11 @@ from repro.core import (
     BackoffMisbehaviorDetector,
     BackoffObservation,
     BianchiModel,
-    ChannelObserver,
     CompetingTerminalEstimator,
     DetectorConfig,
     MonitorHandoff,
     NodeDensityEstimator,
+    SharedChannelObservatory,
     SystemStateEstimator,
     Verdict,
     rank_sum_test,
@@ -87,7 +88,6 @@ __all__ = [
     "BackoffMisbehaviorDetector",
     "BackoffObservation",
     "BianchiModel",
-    "ChannelObserver",
     "CompetingTerminalEstimator",
     "DcfMac",
     "DecisionAuditLog",
@@ -110,6 +110,7 @@ __all__ = [
     "RtsFrame",
     "RunManifest",
     "SensingRegions",
+    "SharedChannelObservatory",
     "Simulation",
     "SimulationConfig",
     "StaticMobility",

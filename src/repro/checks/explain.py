@@ -199,9 +199,9 @@ senses.  Reaching into medium._* from repro.core grants the detector
 channel-state omniscience the physical monitor cannot have, and every
 detection-probability number measured with it overstates the paper.
 
-Fix: consume the public observation API (ChannelObserver and the
-handoff records); if data is genuinely observable, add a public
-accessor to the Medium instead.""",
+Fix: consume the public observation API (the observatory's
+MonitorChannel view and the handoff records); if data is genuinely
+observable, add a public accessor to the Medium instead.""",
     "RPR703": """\
 RPR703 — observation plane writes simulation state
 

@@ -195,7 +195,8 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.analysis.latency import detection_latency
     from repro.analysis.summary import summarize_estimation
-    from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+    from repro.core.detector import DetectorConfig
+    from repro.core.observatory import SharedChannelObservatory
     from repro.experiments.scenarios import GridScenario
     from repro.mac.misbehavior import PercentageMisbehavior
     from repro.obs.audit import DecisionAuditLog
@@ -210,7 +211,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         from repro.obs.provenance import ProvenanceLog
 
         provenance = ProvenanceLog()
-    detector = BackoffMisbehaviorDetector(
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(
         monitor,
         sender,
         config=DetectorConfig(
@@ -221,7 +224,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         audit=audit,
         provenance=provenance,
     )
-    sim.add_listener(detector)
     profiler = None
     if args.profile:
         from repro.obs.profile import EngineProfiler

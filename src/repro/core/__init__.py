@@ -28,7 +28,6 @@ from repro.core.deterministic import (
 )
 from repro.core.hypothesis import BackoffHypothesisTest, TestDecision
 from repro.core.observation import (
-    ChannelObserver,
     ChannelViewBase,
     ObservedTransmission,
     joint_state_counts,
@@ -50,7 +49,6 @@ __all__ = [
     "BackoffMisbehaviorDetector",
     "BackoffObservation",
     "BianchiModel",
-    "ChannelObserver",
     "ChannelViewBase",
     "CompetingTerminalEstimator",
     "DetectorConfig",

@@ -1,12 +1,16 @@
 """The back-off misbehavior detector (the paper's full framework).
 
 One detector instance monitors one *tagged* neighbor on behalf of one
-*monitor* node.  Attach it to a simulation as a listener; it then:
+*monitor* node.  Detectors are created by
+:meth:`repro.core.observatory.SharedChannelObservatory.attach`, the one
+engine listener that records every monitor's channel view; through that
+subscription a detector
 
 1. regenerates the tagged node's verifiable PRS from its MAC address,
-2. tracks the monitor's own busy/idle channel view (ARMA traffic
-   intensity, eq. 6) and — unless the caller supplies known region node
-   counts — the Bianchi competing-terminals/density estimate,
+2. reads the monitor's busy/idle channel view, with the ARMA traffic
+   intensity (eq. 6) and — unless the caller supplies known region node
+   counts — the Bianchi competing-terminals/density estimate the
+   observatory feeds,
 3. for every decoded RTS of the tagged node, forms a sample pair:
    the *dictated* back-off x (pure function of the announced SeqOff# and
    Attempt#) and the *estimated observed* back-off y (eqs. 1-5 applied
@@ -42,7 +46,6 @@ from repro.core.deterministic import (
     UnambiguousCountdownVerifier,
 )
 from repro.core.hypothesis import BackoffHypothesisTest, TestDecision
-from repro.core.observation import ChannelObserver
 from repro.core.records import BackoffObservation, Diagnosis, Verdict
 from repro.core.sysstate import SystemStateEstimator
 from repro.geometry.regions import RegionModel
@@ -66,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.core.records import Verdict as _Verdict
     from repro.mac.constants import MacTiming
     from repro.obs.registry import MetricsRegistry
-    from repro.phy.medium import Medium, Transmission
+    from repro.phy.medium import Medium
 
 
 #: Memoized RegionModel instances keyed by their full geometry.  The
@@ -175,7 +178,14 @@ class DetectorConfig:
 
 
 class BackoffMisbehaviorDetector(SimulationListener):
-    """Monitors one tagged neighbor for back-off timer violations."""
+    """Monitors one tagged neighbor for back-off timer violations.
+
+    Build it with :meth:`SharedChannelObservatory.attach
+    <repro.core.observatory.SharedChannelObservatory.attach>`: the
+    observatory owns the channel view and drives the sample pipeline,
+    so the detector itself handles no transmission events; the
+    observatory forwards mobility epochs to it.
+    """
 
     def __init__(
         self,
@@ -205,15 +215,16 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.metrics = metrics
 
         cfg = self.config
-        #: True when the observer is an observatory subscription — the
-        #: SharedChannelObservatory then drives all channel accounting
-        #: and this detector must NOT be registered as an engine
-        #: listener (it would double-count every transmission).
-        self._subscribed = observer is not None
         if observer is None:
-            self.observer = ChannelObserver(monitor_id, tagged_id)
-        else:
-            self.observer = observer
+            raise TypeError(
+                "a detector sees the channel only through an observatory: "
+                "create it with SharedChannelObservatory.attach(monitor, "
+                "tagged, ...) and register the observatory with the "
+                "simulation"
+            )
+        #: this detector's subscription: the shared monitor channel plus
+        #: the private demux of the tagged node's transmissions
+        self.observer = observer
         self.prng = VerifiableBackoffPrng(
             tagged_id, cw_min=self.timing.cw_min, cw_max=self.timing.cw_max
         )
@@ -242,9 +253,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         #: counts by reason code — always tracked, audit-gated emission.
         self.quarantine_counts: Dict[str, int] = {}
         if cfg.quarantine_audit is None:
-            self._quarantine_audit = (
-                getattr(self.observer, "faults", None) is not None
-            )
+            self._quarantine_audit = observer.faults is not None
         else:
             self._quarantine_audit = cfg.quarantine_audit
         #: accepted BackoffObservation samples
@@ -253,7 +262,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.verdicts: List[Verdict] = []
         #: DeterministicViolation records
         self.violations: List["DeterministicViolation"] = []
-        self._arma_cursor = 0
         self._processed = 0          # observer.observed entries consumed
         self._samples_since_test = 0
         #: (observation index, slot, ranked x, ranked y) of the samples
@@ -276,29 +284,13 @@ class BackoffMisbehaviorDetector(SimulationListener):
         #: window eagerly with the scalar rank-sum test.
         self._batch_scheduler: Optional["BatchScheduler"] = None
 
-    # -- listener plumbing -------------------------------------------------
-
-    def on_transmission_start(
-        self, slot: Slots, transmission: "Transmission", medium: "Medium"
-    ) -> None:
-        if self._subscribed:
-            raise RuntimeError(
-                "detector is observatory-subscribed; do not register it "
-                "as an engine listener"
-            )
-        self.observer.on_transmission_start(slot, transmission, medium)
+    # -- mobility ------------------------------------------------------------
 
     def on_positions_updated(
         self,
         slot: Slots,
         positions: Dict[int, Tuple[float, float]],
         medium: "Medium",
-    ) -> None:
-        self.observer.on_positions_updated(slot, positions, medium)
-        self._refresh_geometry(positions)
-
-    def _refresh_geometry(
-        self, positions: Dict[int, Tuple[float, float]]
     ) -> None:
         """Track the monitor-sender separation under mobility.
 
@@ -333,48 +325,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.state_estimator = SystemStateEstimator(model)
         self.density_estimator = NodeDensityEstimator(region_model=model)
 
-    def on_transmission_end(
-        self,
-        slot: Slots,
-        transmission: "Transmission",
-        success: bool,
-        medium: "Medium",
-    ) -> None:
-        if self._subscribed:
-            raise RuntimeError(
-                "detector is observatory-subscribed; do not register it "
-                "as an engine listener"
-            )
-        if self._birth_slot is None:
-            self._birth_slot = transmission.start_slot
-            self._arma_cursor = transmission.start_slot
-        self.observer.on_transmission_end(slot, transmission, success, medium)
-        sender = transmission.sender
-        if sender != self.monitor_id and medium.senses(sender, self.monitor_id):
-            # Every sensed attempt feeds the collision-probability
-            # estimate behind the density inversion.
-            self.terminal_estimator.record_attempt(collided=not success)
-            if sender != self.tagged_id and self.config.occupancy_correction:
-                self._record_occupancy(
-                    invisible=not medium.senses(sender, self.tagged_id)
-                )
-        self._advance_arma(slot)
-        if sender == self.tagged_id:
-            self._process_new_observations(medium)
-
     # -- online state ------------------------------------------------------
-
-    def _advance_arma(self, slot: Slots) -> None:
-        # Busy intervals are recorded when transmissions *end*, so slots
-        # closer than one full exchange to the present may still gain
-        # busy mass from in-flight transmissions.  Only slots older than
-        # that horizon are final; feeding newer ones would undercount.
-        target = slot - self.timing.exchange_slots
-        if target <= self._arma_cursor:
-            return
-        idle, busy = self.observer.idle_busy_counts(self._arma_cursor, target)
-        self.arma.ingest(busy, idle + busy)
-        self._arma_cursor = target
 
     @property
     def rho(self) -> float:
@@ -471,8 +422,9 @@ class BackoffMisbehaviorDetector(SimulationListener):
                 self._skip_sample()
                 return
 
-        idle, busy = self.observer.idle_busy_counts(start, end)
-        own_tx = self.observer.own_tx_slots_in(start, end)
+        channel = self.observer.channel
+        idle, busy = channel.idle_busy_counts(start, end)
+        own_tx = channel.own_tx_slots_in(start, end)
         dictated = self.prng.dictated_backoff(rts.seq_off, rts.attempt)
         window = contention_window(
             min(rts.attempt, self.timing.retry_limit),

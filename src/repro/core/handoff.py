@@ -12,15 +12,15 @@ the new monitor has its own channel view).
 Verdicts and deterministic violations from all monitors are accumulated
 so experiment harnesses see one continuous stream.
 
-With an ``observatory`` the hand-off manager works at the subscription
-layer instead of the listener layer: the engine keeps one
-:class:`~repro.core.observatory.SharedChannelObservatory` listener
-throughout, and a hand-off detaches the old detector's subscription and
-attaches the replacement's — no listener churn.  The replacement always
-gets a *fresh private channel* (``fresh_channel=True``): a brand-new
-monitor's observer starts empty, and inheriting the shared channel's
-busy history would diverge from what that node could have recorded
-(statistical history does not transfer, per the paper).
+The hand-off manager works at the subscription layer: the engine keeps
+one :class:`~repro.core.observatory.SharedChannelObservatory` listener
+throughout, the observatory forwards mobility epochs to the manager,
+and a hand-off detaches the old detector's subscription and attaches
+the replacement's — no listener churn.  The replacement always gets a
+*fresh private channel* (``fresh_channel=True``): a brand-new monitor's
+view starts empty, and inheriting the shared channel's busy history
+would diverge from what that node could have recorded (statistical
+history does not transfer, per the paper).
 """
 
 from __future__ import annotations
@@ -39,12 +39,17 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.mac.constants import MacTiming
     from repro.obs.audit import DecisionAuditLog
     from repro.obs.provenance import ProvenanceLog
-    from repro.phy.medium import Medium, Transmission
+    from repro.phy.medium import Medium
     from repro.util.rng import RngStream
 
 
 class MonitorHandoff(SimulationListener):
-    """Keeps *some* neighbor monitoring the tagged node at all times."""
+    """Keeps *some* neighbor monitoring the tagged node at all times.
+
+    Register ``observatory`` with the simulation; the manager itself is
+    not an engine listener (the observatory forwards it mobility
+    epochs).
+    """
 
     def __init__(
         self,
@@ -60,6 +65,12 @@ class MonitorHandoff(SimulationListener):
     ) -> None:
         if rng is None:
             raise ValueError("MonitorHandoff requires an RngStream")
+        if observatory is None:
+            raise TypeError(
+                "MonitorHandoff attaches its detectors to an observatory: "
+                "pass observatory=SharedChannelObservatory() and register "
+                "that observatory with the simulation"
+            )
         self.tagged_id = tagged_id
         self.config = config if config is not None else DetectorConfig()
         self.timing = timing
@@ -68,30 +79,19 @@ class MonitorHandoff(SimulationListener):
         self.audit = audit
         #: one provenance log spans every monitor of this tagged node
         self.provenance = provenance
-        #: shared observation plane, or None for the listener path
+        #: the observation plane every monitor's detector subscribes to
         self.observatory = observatory
-        if observatory is not None:
-            self.detector = observatory.attach(
-                initial_monitor,
-                tagged_id,
-                config=self.config,
-                timing=timing,
-                separation=separation,
-                audit=audit,
-                provenance=provenance,
-                position_unit=False,
-            )
-            observatory.add_position_listener(self)
-        else:
-            self.detector = BackoffMisbehaviorDetector(
-                initial_monitor,
-                tagged_id,
-                config=self.config,
-                timing=timing,
-                separation=separation,
-                audit=audit,
-                provenance=provenance,
-            )
+        self.detector = observatory.attach(
+            initial_monitor,
+            tagged_id,
+            config=self.config,
+            timing=timing,
+            separation=separation,
+            audit=audit,
+            provenance=provenance,
+            position_unit=False,
+        )
+        observatory.add_position_listener(self)
         self.handoffs = 0
         self.retired_detectors: List[BackoffMisbehaviorDetector] = []
 
@@ -137,24 +137,7 @@ class MonitorHandoff(SimulationListener):
     def flagged_malicious(self) -> bool:
         return any(v.is_malicious for v in self.verdicts)
 
-    # -- listener plumbing ------------------------------------------------------
-
-    def on_transmission_start(
-        self, slot: Slots, transmission: "Transmission", medium: "Medium"
-    ) -> None:
-        # Observatory mode: the subscription receives events directly;
-        # this forwarding path only exists for the listener mode (the
-        # subscribed detector itself rejects listener calls).
-        self.detector.on_transmission_start(slot, transmission, medium)
-
-    def on_transmission_end(
-        self,
-        slot: Slots,
-        transmission: "Transmission",
-        success: bool,
-        medium: "Medium",
-    ) -> None:
-        self.detector.on_transmission_end(slot, transmission, success, medium)
+    # -- mobility ------------------------------------------------------------
 
     def on_positions_updated(
         self,
@@ -193,27 +176,16 @@ class MonitorHandoff(SimulationListener):
         tag = positions.get(self.tagged_id)
         if mon is not None and tag is not None:
             separation = max(distance(mon, tag), 1.0)
-        if self.observatory is not None:
-            self.observatory.detach(self.detector)
-            self.detector = self.observatory.attach(
-                new_monitor,
-                self.tagged_id,
-                config=self.config,
-                timing=self.timing,
-                separation=separation,
-                audit=self.audit,
-                provenance=self.provenance,
-                fresh_channel=True,
-                position_unit=False,
-            )
-        else:
-            self.detector = BackoffMisbehaviorDetector(
-                new_monitor,
-                self.tagged_id,
-                config=self.config,
-                timing=self.timing,
-                separation=separation,
-                audit=self.audit,
-                provenance=self.provenance,
-            )
+        self.observatory.detach(self.detector)
+        self.detector = self.observatory.attach(
+            new_monitor,
+            self.tagged_id,
+            config=self.config,
+            timing=self.timing,
+            separation=separation,
+            audit=self.audit,
+            provenance=self.provenance,
+            fresh_channel=True,
+            position_unit=False,
+        )
         self.detector.on_positions_updated(slot, positions, medium)

@@ -4,19 +4,18 @@ The monitor's raw material is (a) its own per-slot busy/idle view of the
 medium and (b) the transmissions of the tagged node it can sense, with
 the modified-RTS fields of those it can also *decode*.  Everything the
 detector does — ARMA traffic intensity, the Iest/Best estimates, the
-rank-sum samples — is computed from this observer, never from simulator
+rank-sum samples — is computed from this view, never from simulator
 ground truth the node could not know.
 
-Two implementations share the interval bookkeeping in
-:class:`ChannelViewBase`:
-
-* :class:`ChannelObserver` — the standalone engine listener one detector
-  owns privately (the original path, still used for baselines and
-  single-detector tests);
-* :class:`repro.core.observatory.MonitorChannel` — the per-monitor-node
-  timeline a :class:`~repro.core.observatory.SharedChannelObservatory`
-  maintains once and shares across every detector observing from that
-  node.
+This module holds the view's data types: :class:`ChannelViewBase` (the
+busy-interval timeline and own-transmission ledger),
+:class:`ObservedTransmission` (one demuxed transmission of the tagged
+node) with its wire codec, and :func:`joint_state_counts`.  The only
+implementation of the view is
+:class:`repro.core.observatory.MonitorChannel`, the per-monitor-node
+timeline a :class:`~repro.core.observatory.SharedChannelObservatory`
+maintains once and shares across every detector observing from that
+node.
 """
 
 from __future__ import annotations
@@ -25,13 +24,10 @@ import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim.listeners import SimulationListener
 from repro.util.units import Slots
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.faults.schedule import FaultSchedule
     from repro.mac.frames import RtsFrame
-    from repro.phy.medium import Medium, Transmission
 
 
 @dataclass
@@ -185,9 +181,9 @@ def joint_state_counts(
     the ground-truth measurement behind the paper's Figures 3-4: e.g.
     p(S busy | R idle) = IB / (II + IB).
 
-    Accepts anything exposing ``busy_intervals_in`` (a
-    :class:`ChannelObserver`, an observatory channel, or a subscription
-    view).  Implemented as one merged sweep over both clipped interval
+    Accepts any two :class:`ChannelViewBase` timelines (in practice
+    two observatory :class:`~repro.core.observatory.MonitorChannel`
+    objects).  Implemented as one merged sweep over both clipped interval
     lists: O(R + S) after the clip, no per-boundary binary searches.
     """
     counts = {"II": 0, "IB": 0, "BI": 0, "BB": 0}
@@ -311,25 +307,6 @@ class ChannelViewBase:
         ends = self._busy_ends
         return bool(ends) and ends[-1] > slot
 
-    def idle_stretches_in(self, start: Slots, end: Slots) -> int:
-        """Number of maximal idle stretches within [start, end).
-
-        Each stretch costs the sender a DIFS before it may resume its
-        countdown, so the detector subtracts one DIFS per stretch from
-        the estimated countdown budget.
-        """
-        if end <= start:
-            return 0
-        stretches = 0
-        cursor = start
-        for lo, hi in self.busy_intervals_in(start, end):
-            if lo > cursor:
-                stretches += 1
-            cursor = max(cursor, hi)
-        if cursor < end:
-            stretches += 1
-        return stretches
-
     def own_tx_slots_in(self, start: Slots, end: Slots) -> Slots:
         """Slots in [start, end) spent transmitting by the monitor itself.
 
@@ -353,13 +330,6 @@ class ChannelViewBase:
             i += 1
         return total
 
-    def traffic_intensity(self, start: Slots, end: Slots) -> float:
-        """Fraction of busy slots over [start, end) (the paper's rho)."""
-        if end <= start:
-            return 0.0
-        _idle, busy = self.idle_busy_counts(start, end)
-        return busy / (end - start)
-
     def prune_before(self, horizon: Slots) -> int:
         """Drop timeline intervals that end at or before ``horizon``.
 
@@ -379,100 +349,3 @@ class ChannelViewBase:
             del self._own_starts[:cut], self._own_ends[:cut]
             dropped += cut
         return dropped
-
-
-class ChannelObserver(ChannelViewBase, SimulationListener):
-    """Records one monitor's channel view and its view of a tagged node.
-
-    Parameters
-    ----------
-    monitor_id:
-        The observing node.
-    tagged_id:
-        The neighbor being monitored (the paper's "tagged node").  May
-        be changed later with :meth:`retag` (used under mobility when
-        the monitor hands off).
-    """
-
-    def __init__(
-        self,
-        monitor_id: int,
-        tagged_id: int,
-        faults: "Optional[FaultSchedule]" = None,
-    ) -> None:
-        ChannelViewBase.__init__(self)
-        self.monitor_id = monitor_id
-        self.tagged_id = tagged_id
-        if faults is None:
-            from repro.faults.runtime import active_schedule
-
-            faults = active_schedule()
-        #: injected link faults (None = clean channel, the default)
-        self.faults = faults
-        # In-flight transmissions we flagged as sensed at their start.
-        self._sensed_active: Dict[int, bool] = {}
-        self._decodable_active: Dict[int, bool] = {}
-        #: ObservedTransmission of the tagged node
-        self.observed: List[ObservedTransmission] = []
-
-    # -- listener callbacks ----------------------------------------------------
-
-    def on_transmission_start(
-        self, slot: Slots, transmission: "Transmission", medium: "Medium"
-    ) -> None:
-        key = id(transmission)
-        sender = transmission.sender
-        if sender == self.monitor_id:
-            self._sensed_active[key] = True
-        elif medium.senses(sender, self.monitor_id):
-            self._sensed_active[key] = True
-        if sender == self.tagged_id:
-            # Decodable iff in decode range, the monitor itself silent,
-            # and no other sensed transmission garbling the preamble.
-            self._decodable_active[key] = medium.clean_decode(
-                sender, self.monitor_id
-            )
-
-    def on_transmission_end(
-        self,
-        slot: Slots,
-        transmission: "Transmission",
-        success: bool,
-        medium: "Medium",
-    ) -> None:
-        key = id(transmission)
-        self.last_slot = max(self.last_slot, transmission.end_slot)
-        if self._sensed_active.pop(key, False):
-            self._add_busy_interval(transmission.start_slot, transmission.end_slot)
-            if transmission.sender == self.monitor_id:
-                self._add_own_interval(
-                    transmission.start_slot, transmission.end_slot
-                )
-        if transmission.sender == self.tagged_id:
-            decodable = self._decodable_active.pop(key, False)
-            rts = transmission.frame if decodable else None
-            impairment = None
-            if decodable and self.faults is not None:
-                rts, impairment = self.faults.deliver_rts(
-                    self.monitor_id,
-                    transmission.sender,
-                    transmission.start_slot,
-                    rts,
-                )
-            self.observed.append(
-                ObservedTransmission(
-                    start_slot=transmission.start_slot,
-                    end_slot=transmission.end_slot,
-                    rts=rts,
-                    success=success,
-                    receiver=transmission.receiver,
-                    impairment=impairment,
-                )
-            )
-
-    def retag(self, new_tagged_id: int, drop_history: bool = True) -> None:
-        """Switch the tagged node (monitor hand-off under mobility)."""
-        self.tagged_id = new_tagged_id
-        if drop_history:
-            self.observed.clear()
-            self._decodable_active.clear()

@@ -1,15 +1,15 @@
-"""A shared observation plane for many-monitor detection runs.
+"""The observation plane: how every detector sees the channel.
 
 The paper's framework is cooperative: *every* neighbor of a sender is a
-potential monitor.  The original wiring gave each
-:class:`~repro.core.detector.BackoffMisbehaviorDetector` its own private
-:class:`~repro.core.observation.ChannelObserver` registered as a full
-engine listener, so a run with D detectors paid O(D) per transmission —
-D ``senses()`` lookups, D copies of the *same monitor node's*
-busy-interval timeline, D identical ARMA ingests.
-
-:class:`SharedChannelObservatory` is a single engine listener that
-ingests each transmission **once** and fans the result out cheaply:
+potential monitor.  :class:`SharedChannelObservatory` is the single
+engine listener behind every
+:class:`~repro.core.detector.BackoffMisbehaviorDetector` — a detector
+exists only as a subscription created by
+:meth:`SharedChannelObservatory.attach`, and a standalone detector is
+simply a one-subscriber observatory.  It ingests each transmission
+**once** and fans the result out cheaply, so D detectors on one node do
+not pay for D ``senses()`` lookups, D copies of the same busy-interval
+timeline or D identical ARMA ingests:
 
 * sensed/decodable status is resolved per *monitor node* once, from the
   medium's cached :meth:`~repro.phy.medium.Medium.sensors_of`
@@ -19,17 +19,18 @@ ingests each transmission **once** and fans the result out cheaply:
 * per-channel *feeds* advance the ARMA traffic estimator and the
   Bianchi competing-terminal estimator once per event and are shared by
   every same-configuration detector on the channel;
-* detectors subscribe via :class:`ObservatorySubscription` — a
-  read-only, ``ChannelObserver``-compatible view plus a private
-  ``ObservedTransmission`` demux of their tagged node.
+* detectors subscribe via :class:`ObservatorySubscription` — the
+  shared channel plus a private ``ObservedTransmission`` demux of their
+  tagged node.
 
-Equivalence contract: for detectors attached *before* the run starts
-(or on a fresh private channel mid-run, as the mobility hand-off does),
-same-seed observations, verdicts, audit logs and metrics snapshots are
-byte-identical to the per-detector-observer path; the suite in
-``tests/test_observatory.py`` pins this.  A detector attached mid-run to
-an already-populated shared channel would inherit busy history its own
-observer could never have seen — use ``fresh_channel=True`` there.
+Sharing does not change what a detector computes: for detectors
+attached before the run starts (or on a fresh private channel mid-run,
+as the mobility hand-off does), same-seed observations, verdicts, audit
+logs and metrics are exactly those of a private observer on that node
+(``tests/test_golden_fingerprints.py`` pins this).  A detector attached
+mid-run to an already-populated shared channel would inherit busy
+history a newly arrived monitor could never have seen — use
+``fresh_channel=True`` there.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ _ArmaKey = Tuple[int, float, int, int]
 class _ArmaFeed:
     """One shared ARMA ingest stream on a :class:`MonitorChannel`.
 
-    Mirrors ``BackoffMisbehaviorDetector._advance_arma`` exactly: the
-    cursor starts at the first event's start slot (which also fixes the
-    subscribed detectors' birth slot) and only slots older than one full
-    exchange are ingested.  Every detector whose (arma_alpha,
+    The cursor starts at the first event's start slot (which also fixes
+    the subscribed detectors' birth slot) and only slots older than one
+    full exchange are ingested: busy intervals are recorded when
+    transmissions *end*, so newer slots may still gain busy mass from
+    in-flight transmissions.  Every detector whose (arma_alpha,
     arma_interval_slots, exchange_slots, attach epoch) matches shares
     this feed's estimator instance.
     """
@@ -92,7 +94,6 @@ class _ArmaFeed:
             self.cursor = birth
             for detector in self.detectors:
                 detector._birth_slot = birth
-                detector._arma_cursor = birth
         target = slot - self.exchange_slots
         if target <= self.cursor:
             return
@@ -251,11 +252,10 @@ class MonitorChannel(ChannelViewBase):
 
 
 class ObservatorySubscription:
-    """A detector's read-only, ``ChannelObserver``-compatible view.
-
-    Queries delegate to the shared :class:`MonitorChannel`; the
-    ``observed`` demux (and the decodable flags captured at transmission
-    start) are private to this (monitor, tagged) subscription.
+    """One detector's view: the shared :class:`MonitorChannel` it reads,
+    plus the ``observed`` demux of its tagged node (and the decodable
+    flags captured at transmission start), private to this (monitor,
+    tagged) pair.
     """
 
     __slots__ = (
@@ -285,58 +285,10 @@ class ObservatorySubscription:
         self._decodable_keys: Set[int] = set()
         self._detector: Optional[BackoffMisbehaviorDetector] = None
 
-    # -- ChannelObserver-compatible query surface --------------------------
-
-    def busy_slots_in(self, start: Slots, end: Slots) -> int:
-        return self.channel.busy_slots_in(start, end)
-
-    def busy_intervals_in(self, start: Slots, end: Slots) -> List[Tuple[int, int]]:
-        return self.channel.busy_intervals_in(start, end)
-
-    def idle_busy_counts(self, start: Slots, end: Slots) -> Tuple[int, int]:
-        return self.channel.idle_busy_counts(start, end)
-
-    def idle_stretches_in(self, start: Slots, end: Slots) -> int:
-        return self.channel.idle_stretches_in(start, end)
-
-    def own_tx_slots_in(self, start: Slots, end: Slots) -> int:
-        return self.channel.own_tx_slots_in(start, end)
-
-    def traffic_intensity(self, start: Slots, end: Slots) -> float:
-        return self.channel.traffic_intensity(start, end)
-
     @property
     def faults(self) -> "Optional[FaultSchedule]":
         """The observatory's injected fault schedule (None = clean)."""
         return self._observatory.faults
-
-    @property
-    def monitor_tx_slots(self) -> int:
-        return self.channel.monitor_tx_slots
-
-    @property
-    def last_slot(self) -> int:
-        return self.channel.last_slot
-
-    @property
-    def _busy_starts(self) -> List[int]:
-        return self.channel._busy_starts
-
-    @property
-    def _busy_ends(self) -> List[int]:
-        return self.channel._busy_ends
-
-    def retag(self, new_tagged_id: int, drop_history: bool = True) -> None:
-        """Re-point this subscription's demux at another tagged node."""
-        self._observatory._retag_subscription(self, new_tagged_id)
-        if drop_history:
-            self.observed.clear()
-            self._decodable_keys.clear()
-
-    def on_positions_updated(
-        self, slot: Slots, positions: Dict[int, Position], medium: "Medium"
-    ) -> None:
-        """No-op: the shared channel needs no per-epoch work."""
 
 
 @dataclass
@@ -461,10 +413,9 @@ class SharedChannelObservatory(SimulationListener):
 
             faults = active_schedule()
         #: injected link faults (None = clean channel, the default);
-        #: applied per monitor *node*, identically to a private
-        #: ChannelObserver on that node (the draws are pure hashes of
-        #: (monitor, sender, start slot), so the equivalence contract
-        #: holds under faults too).
+        #: applied per monitor *node*: the draws are pure hashes of
+        #: (monitor, sender, start slot), so every subscription on a
+        #: node sees the same impairments.
         self.faults = faults
         #: monitor id -> shared channel (fresh channels live only in the list)
         self._channels: Dict[int, MonitorChannel] = {}
@@ -511,10 +462,14 @@ class SharedChannelObservatory(SimulationListener):
     ) -> BackoffMisbehaviorDetector:
         """Create a detector subscribed to this observatory.
 
+        This is the only way to build a detector.  Register the
+        observatory itself with the simulation (``sim.add_listener``)
+        or drive its ``ingest_*`` methods directly.
+
         ``fresh_channel=True`` gives the detector a private, empty
-        channel instead of the monitor node's shared one — required for
-        byte-identity when attaching mid-run (a hand-off replacement
-        must not inherit busy history its own observer never saw).
+        channel instead of the monitor node's shared one — what a
+        monitor arriving mid-run (a hand-off replacement) could have
+        recorded, with none of the node's earlier busy history.
         ``position_unit=False`` skips mobility-epoch forwarding (the
         hand-off manager forwards positions itself).
         """
@@ -615,16 +570,6 @@ class SharedChannelObservatory(SimulationListener):
                     del self._monitor_index[channel.monitor_id]
             if self._channels.get(channel.monitor_id) is channel:
                 del self._channels[channel.monitor_id]
-
-    def _retag_subscription(
-        self, subscription: ObservatorySubscription, new_tagged_id: int
-    ) -> None:
-        """Move a subscription's demux registration to a new tagged node."""
-        subs = self._subs_by_tagged.get(subscription.tagged_id, [])
-        if subscription in subs:
-            subs.remove(subscription)
-        subscription.tagged_id = new_tagged_id
-        self._subs_by_tagged.setdefault(new_tagged_id, []).append(subscription)
 
     def add_position_listener(self, unit: SimulationListener) -> None:
         """Forward mobility epochs to ``unit`` (e.g. a MonitorHandoff)."""

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.observation import ChannelObserver, joint_state_counts
+from repro.core.observation import joint_state_counts
+from repro.core.observatory import SharedChannelObservatory
 from repro.core.sysstate import SystemStateEstimator
 from repro.experiments.parallel import run_trials
 from repro.experiments.reporting import format_table
@@ -54,12 +55,13 @@ def _measure_seed(task: Tuple[Any, ...]) -> Optional[Tuple[float, float, float]]
     scenario_factory, load, seed, observe_slots = task
     scenario = scenario_factory(load, seed)
     sim, sender, monitor = scenario.build()
-    obs_r = ChannelObserver(monitor, sender)
-    obs_s = ChannelObserver(sender, monitor)
-    sim.add_listener(obs_r)
-    sim.add_listener(obs_s)
+    # R's and S's channel views: each node watching the other.
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    view_r = observatory.attach(monitor, sender).observer.channel
+    view_s = observatory.attach(sender, monitor).observer.channel
     sim.run_slots(observe_slots)
-    counts = joint_state_counts(obs_r, obs_s, 0, sim.engine.now)
+    counts = joint_state_counts(view_r, view_s, 0, sim.engine.now)
     total = sum(counts.values())
     r_idle = counts["II"] + counts["IB"]
     r_busy = counts["BI"] + counts["BB"]

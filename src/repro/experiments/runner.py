@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
 from repro.core.ranksum import rank_sum_test
 from repro.util.fidelity import (  # noqa: F401  (re-exported)
     fidelity_scale,
@@ -34,7 +34,6 @@ def collect_detection_samples(
     policies: Optional[Dict[int, Any]] = None,
     audit: Optional[Any] = None,
     provenance: Optional[Any] = None,
-    use_observatory: bool = True,
 ) -> Any:
     """Run one scenario with a (possibly misbehaving) sender and collect
     the detector's raw sample stream.
@@ -50,12 +49,9 @@ def collect_detection_samples(
     :class:`repro.obs.ProvenanceLog` that receives the full evidence
     chain behind each of those verdicts.
 
-    ``use_observatory`` selects the shared observation plane (one
-    :class:`repro.core.observatory.SharedChannelObservatory` engine
-    listener with the detector as a subscriber — the default) versus the
-    legacy per-detector-listener wiring; both produce byte-identical
-    results (see ``tests/test_observatory.py``), the legacy path exists
-    as the equivalence/bench baseline.
+    The detector (or each hand-off monitor's) subscribes to one
+    :class:`repro.core.observatory.SharedChannelObservatory`, the run's
+    only detection listener.
     """
     from repro.core.handoff import MonitorHandoff
     from repro.core.observatory import SharedChannelObservatory
@@ -72,12 +68,9 @@ def collect_detection_samples(
         if pm:
             sender_policies[sender] = PercentageMisbehavior(pm)
         sim, sender, monitor = scenario.build(policies=sender_policies)
-    mobile = bool(getattr(scenario, "mobile", False))
-    observatory = None
-    if use_observatory:
-        observatory = SharedChannelObservatory()
-        sim.add_listener(observatory)
-    if mobile:
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    if getattr(scenario, "mobile", False):
         # The paper's mobile protocol: when the monitor drifts out of
         # range, a random current neighbor takes over.
         detector = MonitorHandoff(
@@ -90,9 +83,7 @@ def collect_detection_samples(
             observatory=observatory,
             provenance=provenance,
         )
-        if observatory is None:
-            sim.add_listener(detector)
-    elif observatory is not None:
+    else:
         detector = observatory.attach(
             monitor,
             sender,
@@ -101,16 +92,6 @@ def collect_detection_samples(
             audit=audit,
             provenance=provenance,
         )
-    else:
-        detector = BackoffMisbehaviorDetector(
-            monitor,
-            sender,
-            config=detector_config,
-            separation=getattr(scenario, "separation", None),
-            audit=audit,
-            provenance=provenance,
-        )
-        sim.add_listener(detector)
     sim.run(
         max_duration_s,
         stop_condition=lambda: detector.observation_count >= target_samples,

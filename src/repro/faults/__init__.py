@@ -6,7 +6,7 @@ Two halves:
   (decode failure, RTS corruption/truncation, burst loss) applied
   monitor-side, as pure hash functions of (seed, monitor, sender,
   start slot) so faulted runs stay deterministic regardless of worker
-  count or observer wiring;
+  count or how many detectors share a monitor node;
 * :mod:`repro.faults.runtime` — the process-wide ``--faults <spec>`` /
   ``REPRO_FAULTS`` switch the observation layer consults.
 

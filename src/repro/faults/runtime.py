@@ -1,9 +1,8 @@
 """Process-wide switch for fault injection.
 
-Mirrors :mod:`repro.obs.runtime`: observation-layer components
-(:class:`repro.core.observation.ChannelObserver`,
-:class:`repro.core.observatory.SharedChannelObservatory`) consult this
-module at construction time, so one ``--faults <spec>`` flag (or
+Mirrors :mod:`repro.obs.runtime`: the observation plane
+(:class:`repro.core.observatory.SharedChannelObservatory`) consults
+this module at construction time, so one ``--faults <spec>`` flag (or
 ``REPRO_FAULTS=<spec>``) impairs every monitor a command builds —
 including the many short-lived runs inside an experiment sweep and the
 forked workers of ``run_trials`` (children inherit the installed spec;
@@ -49,16 +48,16 @@ def installed_spec() -> Optional[FaultSpec]:
 
 
 def faults_enabled() -> bool:
-    """True if new observers should consult a fault schedule."""
+    """True if new observatories should consult a fault schedule."""
     return active_schedule() is not None
 
 
 def active_schedule() -> Optional[FaultSchedule]:
-    """The :class:`FaultSchedule` new observers should use, or ``None``.
+    """The :class:`FaultSchedule` new observatories should use, or ``None``.
 
     Resolution order: an installed spec (:func:`set_fault_spec`) wins;
     otherwise ``REPRO_FAULTS`` is parsed.  The schedule object is
-    memoized per source so every observer in a run shares one instance
+    memoized per source so every observatory in a run shares one instance
     (and its per-link seed memo).
     """
     global _schedule_cache

@@ -24,8 +24,8 @@ sender, start slot), built from :func:`repro.mac.prng.splitmix64` over
 a :func:`repro.util.rng.derive_seed` per-link seed.  No stream state is
 consumed, so outcomes are independent of the order in which links are
 queried — which is what makes faulted runs deterministic across
-``--jobs`` worker counts and identical between the legacy per-detector
-observer and the shared observatory.
+``--jobs`` worker counts, and the same for every subscription the
+observatory serves from one monitor node.
 """
 
 from __future__ import annotations

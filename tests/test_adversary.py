@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
+from repro.core.observatory import SharedChannelObservatory
 from repro.experiments.scenarios import GridScenario
 from repro.mac.adversary import (
     AttemptReplay,
@@ -150,8 +151,9 @@ def _run_grid(announcement=None, policy=None, seconds=40.0, target=150, seed=11)
     sim, sender, monitor = scenario.build(
         policies=policies, mac_options=mac_options
     )
-    detector = BackoffMisbehaviorDetector(monitor, sender, config=CONFIG)
-    sim.add_listener(detector)
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(monitor, sender, config=CONFIG)
     sim.run(
         seconds,
         stop_condition=lambda: detector.observation_count >= target,
@@ -213,8 +215,9 @@ def test_colluding_pair_generates_cover_traffic():
     policy_a, policy_b = install_colluding_pair(
         sim, sender, partner, pm=60.0, cover_backoff=1
     )
-    detector = BackoffMisbehaviorDetector(monitor, sender, config=CONFIG)
-    sim.add_listener(detector)
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(monitor, sender, config=CONFIG)
     sim.run(20.0)
     # Both halves of the alibi engaged: shrunken own draws and cover
     # jumps into the partner's contention intervals.

@@ -8,7 +8,8 @@ verifiers, and the rank-sum hypothesis test.
 
 import pytest
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
+from repro.core.observatory import SharedChannelObservatory
 from repro.core.records import Diagnosis
 from repro.mac.misbehavior import (
     AlienDistributionBackoff,
@@ -41,13 +42,14 @@ def _run_detection(pm=0, policy=None, duration_s=12.0, sample_size=25,
         config=SimulationConfig(seed=seed),
         mac_options={sender: mac_options} if mac_options else None,
     )
-    detector = BackoffMisbehaviorDetector(
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(
         monitor,
         sender,
         config=config
         or DetectorConfig(sample_size=sample_size, known_n=5, known_k=5),
     )
-    sim.add_listener(detector)
     sim.run(duration_s)
     return detector
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
+from repro.core.observatory import SharedChannelObservatory
 from repro.geometry.regions import RegionModel
 from repro.mac.misbehavior import PercentageMisbehavior
 from repro.sim.network import Flow, Simulation, SimulationConfig
@@ -24,8 +25,9 @@ def _run(config, pm=60, duration_s=8.0, seed=3):
         policies=policies,
         config=SimulationConfig(seed=seed),
     )
-    detector = BackoffMisbehaviorDetector(monitor, sender, config=config)
-    sim.add_listener(detector)
+    observatory = SharedChannelObservatory()
+    sim.add_listener(observatory)
+    detector = observatory.attach(monitor, sender, config=config)
     sim.run(duration_s)
     return detector
 

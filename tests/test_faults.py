@@ -4,13 +4,13 @@ The fault layer's contract has three legs:
 
 1. **pure draws** — every impairment decision is a pure function of
    (spec seed, monitor, sender, start slot): query order, worker count
-   and observer backend cannot change outcomes;
+   and how many detectors share a monitor node cannot change outcomes;
 2. **honest codec** — corruption/truncation run the real wire codec
    (encode, damage, decode), so what quarantines is exactly what a real
    monitor could not parse;
 3. **one switch** — ``set_fault_spec`` / ``REPRO_FAULTS`` / ``--faults``
    all meet in :func:`repro.faults.runtime.active_schedule`, which every
-   new observer consults.
+   new observatory consults.
 """
 
 from __future__ import annotations
@@ -254,13 +254,10 @@ def test_reset_fault_runtime_registered():
 
 
 def test_new_observers_pick_up_the_active_schedule():
-    from repro.core.observation import ChannelObserver
     from repro.core.observatory import SharedChannelObservatory
 
-    assert ChannelObserver(monitor_id=1, tagged_id=2).faults is None
+    assert SharedChannelObservatory().faults is None
     set_fault_spec("decode=0.5,seed=2")
-    observer = ChannelObserver(monitor_id=1, tagged_id=2)
-    assert observer.faults is active_schedule()
     observatory = SharedChannelObservatory()
     assert observatory.faults is active_schedule()
     subscription = observatory.attach(1, 2)
@@ -270,7 +267,7 @@ def test_new_observers_pick_up_the_active_schedule():
 # -- end-to-end determinism ---------------------------------------------------
 
 
-def _run_detector(use_observatory, spec="decode=0.35,seed=13"):
+def _run_detector(spec="decode=0.35,seed=13"):
     from repro.experiments.runner import collect_detection_samples
     from repro.experiments.scenarios import GridScenario
     from repro.util.caches import reset_all_caches
@@ -283,37 +280,20 @@ def _run_detector(use_observatory, spec="decode=0.35,seed=13"):
             pm=40,
             target_samples=80,
             max_duration_s=30.0,
-            use_observatory=use_observatory,
         )
     finally:
         set_fault_spec(None)
 
 
-def test_legacy_and_observatory_agree_under_faults():
-    """The equivalence contract survives fault injection: both observer
-    backends quarantine the same observations for the same reasons and
-    reach identical verdicts."""
-    legacy = _run_detector(use_observatory=False)
-    shared = _run_detector(use_observatory=True)
-    legacy_obs = [repr(o) for o in legacy.observer.observed]
-    shared_obs = [repr(o) for o in shared.observer.observed]
-    assert legacy_obs == shared_obs
-    assert legacy.quarantine_counts == shared.quarantine_counts
-    assert [repr(v) for v in legacy.verdicts] == [repr(v) for v in shared.verdicts]
-    assert [repr(v) for v in legacy.violations] == [
-        repr(v) for v in shared.violations
-    ]
-    # Faults actually fired in this run (the contract is not vacuous).
-    assert legacy.quarantine_counts.get(IMPAIRMENT_DECODE_FAILURE, 0) > 0
-
-
 def test_faulted_runs_are_reproducible():
-    first = _run_detector(use_observatory=True)
-    second = _run_detector(use_observatory=True)
+    first = _run_detector()
+    second = _run_detector()
     assert [repr(o) for o in first.observer.observed] == [
         repr(o) for o in second.observer.observed
     ]
     assert first.quarantine_counts == second.quarantine_counts
+    # Faults actually fired in this run (the check is not vacuous).
+    assert first.quarantine_counts.get(IMPAIRMENT_DECODE_FAILURE, 0) > 0
 
 
 def test_fault_sweep_deterministic_across_jobs():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.detector import DetectorConfig
 from repro.core.handoff import MonitorHandoff
+from repro.core.observatory import SharedChannelObservatory
 from repro.mac.misbehavior import PercentageMisbehavior
 from repro.phy.channel import Channel
 from repro.phy.medium import Medium
@@ -22,6 +23,7 @@ def _handoff(tagged=0, monitor=1, seed=1):
         monitor,
         config=DetectorConfig(sample_size=10, known_n=5, known_k=5),
         rng=RngStream(seed, "handoff"),
+        observatory=SharedChannelObservatory(),
     )
 
 
@@ -65,6 +67,24 @@ class TestHandoffMechanics:
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             MonitorHandoff(0, 1, rng=None)
+
+    def test_requires_observatory(self):
+        """The listener-path idiom (no observatory) fails at construction
+        instead of silently collecting nothing."""
+        with pytest.raises(TypeError, match="observatory"):
+            MonitorHandoff(0, 1, rng=RngStream(1, "handoff"))
+
+    def test_handoff_resubscribes_on_a_fresh_channel(self):
+        h = _handoff()
+        observatory = h.observatory
+        first = h.detector
+        positions = {0: (0, 0), 1: (5000, 0), 2: (200, 0)}
+        h.on_positions_updated(0, positions, _medium(positions))
+        assert h.retired_detectors == [first]
+        assert first not in observatory.detectors
+        assert observatory.detectors == [h.detector]
+        assert h.detector.observer.channel.monitor_id == 2
+        assert 2 not in observatory._channels  # private, not shared
 
 
 class TestHandoffEndToEnd:

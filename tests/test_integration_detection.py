@@ -7,7 +7,8 @@ extension attack strategies running through the full simulator.
 
 import pytest
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import DetectorConfig
+from repro.core.observatory import SharedChannelObservatory
 from repro.mac.misbehavior import (
     IntermittentMisbehavior,
     PercentageMisbehavior,
@@ -47,11 +48,12 @@ class TestShadowingChannel:
     def test_honest_node_stays_clean_under_shadowing(self):
         sim, sender, monitor = _grid_sim(shadowing=4.0, seed=11)
         monitor = self._pick_decodable_monitor(sim, sender, monitor)
-        det = BackoffMisbehaviorDetector(
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        det = observatory.attach(
             monitor, sender,
             config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
         )
-        sim.add_listener(det)
         sim.run(12.0)
         stat = [v for v in det.verdicts if not v.deterministic]
         if stat:
@@ -67,11 +69,12 @@ class TestShadowingChannel:
             seed=11,
         )
         monitor = self._pick_decodable_monitor(sim, sender, monitor)
-        det = BackoffMisbehaviorDetector(
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        det = observatory.attach(
             monitor, sender,
             config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
         )
-        sim.add_listener(det)
         sim.run(20.0)
         assert len(det.observations) > 0
         assert det.flagged_malicious
@@ -95,15 +98,15 @@ class TestMultipleMonitors:
             policies={sender: PercentageMisbehavior(65)},
             config=SimulationConfig(seed=21),
         )
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
         detectors = [
-            BackoffMisbehaviorDetector(
+            observatory.attach(
                 m, sender,
                 config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
             )
             for m in (monitor, second_monitor)
         ]
-        for det in detectors:
-            sim.add_listener(det)
         sim.run(12.0)
         for det in detectors:
             assert det.flagged_malicious, f"monitor {det.monitor_id} missed it"
@@ -127,11 +130,12 @@ class TestIntermittentAttack:
             policies={sender: policy},
             config=SimulationConfig(seed=13),
         )
-        det = BackoffMisbehaviorDetector(
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        det = observatory.attach(
             monitor, sender,
             config=DetectorConfig(sample_size=50, known_n=5, known_k=5),
         )
-        sim.add_listener(det)
         sim.run(20.0)
         assert policy.cheated_draws > 0
         assert det.flagged_malicious
@@ -163,11 +167,12 @@ class TestDetectionWithRelayTraffic:
             sim.macs[far_src].enqueue(
                 Packet(source=far_src, destination=hop, final_destination=far_dst)
             )
-        det = BackoffMisbehaviorDetector(
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        det = observatory.attach(
             monitor, sender,
             config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
         )
-        sim.add_listener(det)
         sim.run(15.0)
         assert det.flagged_malicious
         assert relay.forwarded > 0

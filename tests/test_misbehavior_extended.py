@@ -84,24 +84,27 @@ class TestAdaptiveLoadCheat:
 
 class TestOccupancyCorrection:
     def test_scale_defaults_to_one(self):
-        from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+        from repro.core.detector import DetectorConfig
+        from repro.core.observatory import SharedChannelObservatory
 
-        det = BackoffMisbehaviorDetector(1, 0, config=DetectorConfig())
+        det = SharedChannelObservatory().attach(1, 0, config=DetectorConfig())
         assert det.p_ib_scale == 1.0
 
     def test_scale_tracks_measurements(self):
-        from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+        from repro.core.detector import DetectorConfig
+        from repro.core.observatory import SharedChannelObservatory
 
-        det = BackoffMisbehaviorDetector(1, 0, config=DetectorConfig())
+        det = SharedChannelObservatory().attach(1, 0, config=DetectorConfig())
         baseline = det.state_estimator.region_model.regions.uniform_invisible_fraction
         for _ in range(100):
             det._record_occupancy(invisible=True)
         assert det.p_ib_scale == pytest.approx(1.0 / baseline, rel=0.05)
 
     def test_disabled_correction_stays_one(self):
-        from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+        from repro.core.detector import DetectorConfig
+        from repro.core.observatory import SharedChannelObservatory
 
-        det = BackoffMisbehaviorDetector(
+        det = SharedChannelObservatory().attach(
             1, 0, config=DetectorConfig(occupancy_correction=False)
         )
         for _ in range(100):

@@ -1,18 +1,14 @@
-"""Equivalence contract of the shared observation plane.
+"""The shared observation plane: sharing, lifecycle, construction.
 
-The :class:`SharedChannelObservatory` replaces one full engine listener
-per detector with a single listener plus per-detector subscriptions; its
-promise is that this is a pure re-plumbing — same-seed observations,
-verdicts, audit logs and metrics snapshots stay byte-identical to the
-per-detector-observer path.  These tests pin that promise on the
-paper's scenarios (grid, random, mobile with monitor hand-off) and on
-the dense multi-monitor grid where sharing actually kicks in, plus the
-view-API compatibility and subscription lifecycle semantics.
+Every detector is a :class:`SharedChannelObservatory` subscription.
+These tests pin that subscriptions on one monitor node share one
+channel and one set of estimator feeds, the subscription lifecycle
+(fresh channels, detach), and that the old stand-alone wiring fails at
+construction.  Same-seed equivalence of what the observatory computes
+is pinned by ``tests/test_golden_fingerprints.py``.
 """
 
-import hashlib
 import itertools
-import json
 
 import pytest
 
@@ -22,20 +18,14 @@ from repro.core.detector import (
     cached_region_model,
     reset_region_cache,
 )
-from repro.core.handoff import MonitorHandoff
-from repro.core.observation import ChannelObserver, joint_state_counts
 from repro.core.observatory import SharedChannelObservatory
-from repro.experiments.runner import collect_detection_samples
-from repro.experiments.scenarios import (
-    GridScenario,
-    MultiMonitorGridScenario,
-    RandomScenario,
-)
+from repro.experiments.scenarios import MultiMonitorGridScenario
 from repro.mac.misbehavior import PercentageMisbehavior
 from repro.obs.audit import DecisionAuditLog
 from repro.obs.registry import MetricsRegistry
 from repro.phy.channel import Channel
 from repro.phy.medium import Medium, Transmission
+from repro.sim.listeners import overrides_hook
 from repro.traffic import queue as traffic_queue
 
 CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5)
@@ -52,73 +42,10 @@ def _fresh_run_state():
     reset_region_cache()
 
 
-def _audit_sha(audit):
-    digest = hashlib.sha256()
-    for record in audit.records:
-        digest.update(json.dumps(record.to_dict(), sort_keys=True).encode())
-    return digest.hexdigest()
-
-
-def _collect(scenario, pm, use_observatory, target_samples, max_duration_s):
-    _fresh_run_state()
-    audit = DecisionAuditLog()
-    detector = collect_detection_samples(
-        scenario,
-        pm,
-        detector_config=CONFIG,
-        target_samples=target_samples,
-        max_duration_s=max_duration_s,
-        audit=audit,
-        use_observatory=use_observatory,
-    )
-    return detector, audit
-
-
-class TestSameSeedEquivalence:
-    """Legacy per-detector listener vs observatory subscription."""
-
-    def _assert_equivalent(self, make_scenario, pm, target, duration):
-        legacy, audit_l = _collect(
-            make_scenario(), pm, False, target, duration
-        )
-        shared, audit_s = _collect(
-            make_scenario(), pm, True, target, duration
-        )
-        assert legacy.observation_count == shared.observation_count
-        assert legacy.observations == shared.observations
-        assert legacy.verdicts == shared.verdicts
-        assert legacy.flagged_malicious == shared.flagged_malicious
-        assert _audit_sha(audit_l) == _audit_sha(audit_s)
-        assert len(audit_l.records) == len(audit_s.records) > 0
-        return legacy, shared
-
-    def test_grid(self):
-        legacy, shared = self._assert_equivalent(
-            lambda: GridScenario(seed=5), 60, 300, 60.0
-        )
-        assert legacy.observation_count >= 100
-        assert legacy.observer.observed == shared.observer.observed
-
-    def test_random_static(self):
-        legacy, shared = self._assert_equivalent(
-            lambda: RandomScenario(seed=5), 50, 200, 60.0
-        )
-        assert legacy.observer.observed == shared.observer.observed
-
-    def test_mobile_handoff(self):
-        legacy, shared = self._assert_equivalent(
-            lambda: RandomScenario(mobile=True, seed=23), 70, 200, 120.0
-        )
-        assert isinstance(legacy, MonitorHandoff)
-        assert isinstance(shared, MonitorHandoff)
-        assert legacy.handoffs == shared.handoffs
-        assert legacy.monitor_id == shared.monitor_id
-
-
-class TestMultiDetectorEquivalence:
+class TestFeedSharing:
     """The dense-monitor regime: 16 detectors on 4 shared channels."""
 
-    def _run(self, use_observatory):
+    def test_16_subscriptions_share_4_channels(self):
         _fresh_run_state()
         scenario = MultiMonitorGridScenario(seed=7)
         taggeds = scenario.tagged_nodes()
@@ -128,108 +55,33 @@ class TestMultiDetectorEquivalence:
         }
         sim, pairs = scenario.build(policies=policies)
         audit = DecisionAuditLog()
-        metrics = MetricsRegistry()
-        detectors = []
-        observatory = None
-        if use_observatory:
-            observatory = SharedChannelObservatory()
-            sim.add_listener(observatory)
-            for monitor, tagged in pairs:
-                detectors.append(observatory.attach(
-                    monitor, tagged, config=CONFIG,
-                    separation=scenario.separation,
-                    audit=audit, metrics=metrics,
-                ))
-        else:
-            for monitor, tagged in pairs:
-                detector = BackoffMisbehaviorDetector(
-                    monitor, tagged, config=CONFIG,
-                    separation=scenario.separation,
-                    audit=audit, metrics=metrics,
-                )
-                sim.add_listener(detector)
-                detectors.append(detector)
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        detectors = [
+            observatory.attach(
+                monitor, tagged, config=CONFIG,
+                separation=scenario.separation,
+                audit=audit, metrics=MetricsRegistry(),
+            )
+            for monitor, tagged in pairs
+        ]
         sim.run(5.0)
-        return detectors, audit, metrics, observatory
-
-    def test_16_detectors_byte_identical(self):
-        legacy, audit_l, metrics_l, _ = self._run(False)
-        shared, audit_s, metrics_s, observatory = self._run(True)
-        assert len(legacy) == len(shared) == 16
-        for det_l, det_s in zip(legacy, shared):
-            assert det_l.observations == det_s.observations
-            assert det_l.verdicts == det_s.verdicts
-            assert det_l.observer.observed == det_s.observer.observed
-        assert _audit_sha(audit_l) == _audit_sha(audit_s)
-        assert len(audit_l.records) == len(audit_s.records) > 0
-        assert metrics_l.snapshot() == metrics_s.snapshot()
-        # The sharing actually happened: 16 subscriptions collapse onto
-        # 4 monitor channels, each with one shared ARMA feed and one
-        # shared competing-terminal estimator.
+        assert len(detectors) == 16
+        assert len(audit.records) > 0
+        # 16 subscriptions collapse onto 4 monitor channels, each with
+        # one shared ARMA feed and one shared competing-terminal
+        # estimator.
         assert len(observatory._channels) == 4
         for channel in observatory._channels.values():
             assert channel.subscribers == 4
             assert len(channel.arma_feeds) == 1
             assert len(channel.terminal_feeds) == 1
             assert len(channel.arma_feeds[0].detectors) == 4
-
-
-class TestViewCompatibility:
-    """The subscription answers every ChannelObserver query identically."""
-
-    def _run_pair(self):
-        _fresh_run_state()
-        scenario = GridScenario(seed=9)
-        _sim, sender, monitor = scenario.build()
-        _fresh_run_state()
-        sim, sender, monitor = scenario.build(
-            policies={sender: PercentageMisbehavior(50)}
-        )
-        observer = ChannelObserver(monitor, sender)
-        sim.add_listener(observer)
-        observatory = SharedChannelObservatory()
-        sim.add_listener(observatory)
-        detector = observatory.attach(
-            monitor, sender, config=CONFIG, separation=scenario.separation
-        )
-        sim.run(5.0)
-        return observer, detector.observer
-
-    def test_queries_match_channel_observer(self):
-        observer, subscription = self._run_pair()
-        end = observer.last_slot
-        assert end > 0
-        assert subscription.last_slot == end
-        assert subscription.monitor_tx_slots == observer.monitor_tx_slots
-        spans = [(0, end), (end // 4, end // 2), (end // 2, end), (0, 1)]
-        for start, stop in spans:
-            assert subscription.busy_slots_in(start, stop) == (
-                observer.busy_slots_in(start, stop)
-            )
-            assert subscription.busy_intervals_in(start, stop) == (
-                observer.busy_intervals_in(start, stop)
-            )
-            assert subscription.idle_busy_counts(start, stop) == (
-                observer.idle_busy_counts(start, stop)
-            )
-            assert subscription.idle_stretches_in(start, stop) == (
-                observer.idle_stretches_in(start, stop)
-            )
-            assert subscription.own_tx_slots_in(start, stop) == (
-                observer.own_tx_slots_in(start, stop)
-            )
-            assert subscription.traffic_intensity(start, stop) == (
-                observer.traffic_intensity(start, stop)
-            )
-        assert subscription.observed == observer.observed
-
-    def test_joint_state_counts_interop(self):
-        observer, subscription = self._run_pair()
-        end = observer.last_slot
-        mixed = joint_state_counts(subscription, observer, 0, end)
-        pure = joint_state_counts(observer, observer, 0, end)
-        assert mixed == pure
-        assert sum(mixed.values()) == end
+        for detector in detectors:
+            channel = observatory._channels[detector.monitor_id]
+            assert detector.observer.channel is channel
+            assert detector.arma is channel.arma_feeds[0].arma
+            assert detector.terminal_estimator is channel.terminal_feeds[0]
 
 
 def _toy_plane():
@@ -252,13 +104,21 @@ def _drive(medium, observatory, sender, start, end, receiver=1):
 
 
 class TestSubscriptionLifecycle:
-    def test_subscribed_detector_rejects_listener_registration(self):
+    def test_detector_requires_a_subscription(self):
+        """The old stand-alone idiom fails at construction instead of
+        building a detector that would silently collect nothing."""
+        with pytest.raises(TypeError, match="SharedChannelObservatory.attach"):
+            BackoffMisbehaviorDetector(1, 0, config=CONFIG)
+
+    def test_detector_is_not_a_channel_listener(self):
+        """Only the observatory handles transmissions: registering a
+        detector with the engine can never double-count one."""
         _, observatory = _toy_plane()
         detector = observatory.attach(1, 0, config=CONFIG)
-        with pytest.raises(RuntimeError):
-            detector.on_transmission_start(0, None, None)
-        with pytest.raises(RuntimeError):
-            detector.on_transmission_end(0, None, False, None)
+        assert not overrides_hook(detector, "on_transmission_start")
+        assert not overrides_hook(detector, "on_transmission_end")
+        assert overrides_hook(observatory, "on_transmission_start")
+        assert overrides_hook(observatory, "on_transmission_end")
 
     def test_fresh_channel_starts_empty(self):
         medium, observatory = _toy_plane()
@@ -268,25 +128,12 @@ class TestSubscriptionLifecycle:
         assert shared.busy_slots_in(0, 100) == 10
         late = observatory.attach(1, 2, config=CONFIG, fresh_channel=True)
         # The private channel never saw the earlier interval...
-        assert late.observer.busy_slots_in(0, 100) == 0
+        assert late.observer.channel.busy_slots_in(0, 100) == 0
         # ...and the shared one is untouched by the new subscription.
         assert shared.subscribers == 1
         _drive(medium, observatory, sender=0, start=30, end=40)
-        assert late.observer.busy_slots_in(0, 100) == 10
+        assert late.observer.channel.busy_slots_in(0, 100) == 10
         assert shared.busy_slots_in(0, 100) == 20
-
-    def test_retag_moves_demux(self):
-        medium, observatory = _toy_plane()
-        detector = observatory.attach(1, 0, config=CONFIG)
-        subscription = detector.observer
-        _drive(medium, observatory, sender=0, start=10, end=20)
-        assert len(subscription.observed) == 1
-        subscription.retag(2)
-        assert subscription.observed == []
-        _drive(medium, observatory, sender=0, start=30, end=40)
-        assert subscription.observed == []
-        _drive(medium, observatory, sender=2, start=50, end=60)
-        assert len(subscription.observed) == 1
 
     def test_detach_freezes_state_and_releases_channel(self):
         medium, observatory = _toy_plane()
@@ -296,9 +143,9 @@ class TestSubscriptionLifecycle:
         _drive(medium, observatory, sender=0, start=10, end=20)
         observatory.detach(first)
         assert observatory._channels[1].subscribers == 1
-        frozen = first.observer.busy_slots_in(0, 100)
+        frozen = first.observer.channel.busy_slots_in(0, 100)
         _drive(medium, observatory, sender=0, start=30, end=40)
-        assert first.observer.busy_slots_in(0, 100) == frozen + 10  # shared view
+        assert first.observer.channel.busy_slots_in(0, 100) == frozen + 10  # shared
         assert len(first.observer.observed) == 1  # demux frozen
         observatory.detach(second)
         assert 1 not in observatory._channels
@@ -319,8 +166,8 @@ class TestRegionModelCache:
 
     def test_detectors_share_default_model(self):
         reset_region_cache()
-        one = BackoffMisbehaviorDetector(1, 0, config=CONFIG)
-        two = BackoffMisbehaviorDetector(3, 2, config=CONFIG)
+        one = SharedChannelObservatory().attach(1, 0, config=CONFIG)
+        two = SharedChannelObservatory().attach(3, 2, config=CONFIG)
         assert one.state_estimator.region_model is (
             two.state_estimator.region_model
         )

@@ -9,7 +9,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core.arma import ArmaTrafficEstimator
-from repro.core.observation import ChannelObserver
+from repro.core.observation import ChannelViewBase
 from repro.core.ranksum import rank_sum_test, wilcoxon_ranks
 from repro.core.sysstate import SystemStateEstimator
 from repro.geometry.circles import circle_area, circle_intersection_area
@@ -165,7 +165,7 @@ class TestObserverProperties:
         query=st.tuples(st.integers(0, 2100), st.integers(0, 200)),
     )
     def test_busy_plus_idle_equals_span(self, intervals, query):
-        obs = ChannelObserver(0, 1)
+        obs = ChannelViewBase()
         for start, length in intervals:
             obs._add_busy_interval(start, start + length)
         q_start, q_len = query
@@ -180,7 +180,7 @@ class TestObserverProperties:
         )
     )
     def test_merged_intervals_disjoint_sorted(self, intervals):
-        obs = ChannelObserver(0, 1)
+        obs = ChannelViewBase()
         for start, length in intervals:
             obs._add_busy_interval(start, start + length)
         starts, ends = obs._busy_starts, obs._busy_ends
@@ -195,7 +195,7 @@ class TestObserverProperties:
         )
     )
     def test_busy_count_matches_bruteforce(self, intervals):
-        obs = ChannelObserver(0, 1)
+        obs = ChannelViewBase()
         covered = set()
         for start, length in intervals:
             obs._add_busy_interval(start, start + length)

@@ -99,7 +99,8 @@ class TestConfigValidation:
 
 class TestEndToEnd:
     def test_cheater_ends_quarantined_honest_does_not(self):
-        from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+        from repro.core.detector import DetectorConfig
+        from repro.core.observatory import SharedChannelObservatory
         from repro.mac.misbehavior import PercentageMisbehavior
         from repro.sim.network import Flow, Simulation, SimulationConfig
         from repro.topology.placement import center_pair_indices, grid_positions
@@ -119,11 +120,12 @@ class TestEndToEnd:
                 policies=policies,
                 config=SimulationConfig(seed=7),
             )
-            det = BackoffMisbehaviorDetector(
+            observatory = SharedChannelObservatory()
+            sim.add_listener(observatory)
+            det = observatory.attach(
                 monitor, sender,
                 config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
             )
-            sim.add_listener(det)
             sim.run(12.0)
             tracker = ReputationTracker()
             tracker.ingest_all(sender, det.verdicts)

@@ -101,13 +101,15 @@ class TestLoadExtremes:
     def test_saturated_channel_utilization(self):
         """Under saturation the channel around a node should be busy
         most of the time."""
-        from repro.core.observation import ChannelObserver
+        from repro.core.observatory import SharedChannelObservatory
 
         positions = grid_positions()
         flows = [Flow(source=i, load=0.8) for i in range(0, 56)]
         sim = Simulation(positions, flows=flows, config=SimulationConfig(seed=5))
-        observer = ChannelObserver(27, 28)
-        sim.add_listener(observer)
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        channel = observatory.attach(27, 28).observer.channel
         sim.run(2.0)
-        rho = observer.traffic_intensity(0, sim.engine.now)
+        idle, busy = channel.idle_busy_counts(0, sim.engine.now)
+        rho = busy / (idle + busy)
         assert rho > 0.5
