@@ -168,6 +168,7 @@ class Medium:
         self._sensing_flips: Set[int] = set()
         # -- frozenset caches for the reachability accessors ----------------
         self._neighbors_cache: Dict[int, FrozenSet[int]] = {}
+        self._sorted_neighbors_cache: Dict[int, Tuple[int, ...]] = {}
         self._sensed_sources_cache: Dict[int, FrozenSet[int]] = {}
         self._sensors_cache: Dict[int, FrozenSet[int]] = {}
 
@@ -193,6 +194,7 @@ class Medium:
         else:
             self._rebuild_all_pairs()
         self._neighbors_cache.clear()
+        self._sorted_neighbors_cache.clear()
         self._sensed_sources_cache.clear()
         self._sensors_cache.clear()
         self._rebuild_sensing_index()
@@ -330,6 +332,7 @@ class Medium:
         self._sensed_by[node_id] = set(sensed_by)
         self._decodes_from[node_id] = set(decodes_from)
         self._neighbors_cache.pop(node_id, None)
+        self._sorted_neighbors_cache.pop(node_id, None)
         self._sensed_sources_cache.pop(node_id, None)
         self._sensors_cache.pop(node_id, None)
 
@@ -359,6 +362,15 @@ class Medium:
         if cached is None:
             cached = self._neighbors_cache[node_id] = frozenset(
                 self._decodes_from_set(node_id)
+            )
+        return cached
+
+    def sorted_neighbors(self, node_id: int) -> Tuple[int, ...]:
+        """:meth:`neighbors` in ascending id order, cached per epoch."""
+        cached = self._sorted_neighbors_cache.get(node_id)
+        if cached is None:
+            cached = self._sorted_neighbors_cache[node_id] = tuple(
+                sorted(self.neighbors(node_id))
             )
         return cached
 
