@@ -6,6 +6,10 @@ where ``b_i`` is 1 if the node sensed slot i busy and 0 otherwise, ``s``
 is the sample-interval length in slots, and ``alpha = 0.995`` (the paper
 takes the value from Bianchi & Tinnirello's run-time estimator and notes
 the results are insensitive to alpha as long as it is close to 1).
+
+The observatory's feeds (:class:`repro.core.observatory._ArmaFeed`)
+apply it exactly: each interval is a fixed ``s``-slot window of the
+monitor's own busy timeline, folded through :meth:`update`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ class ArmaTrafficEstimator:
     busy fraction of the last ``s`` slots), or let it consume raw slot
     counts with :meth:`ingest`, which buffers until a full interval is
     available.  Until the first full interval the estimate reports the
-    running raw mean, so early reads are sensible rather than zero.
+    running raw mean of what :meth:`ingest` buffered, so early reads are
+    sensible rather than zero.
     """
 
     def __init__(
@@ -45,16 +50,6 @@ class ArmaTrafficEstimator:
         if self._pending_total > 0:
             return self._pending_busy / self._pending_total
         return 0.0
-
-    @property
-    def pending_busy(self) -> float:
-        """Busy slot mass buffered toward the next full interval."""
-        return self._pending_busy
-
-    @property
-    def pending_total(self) -> float:
-        """Total slot mass buffered toward the next full interval."""
-        return self._pending_total
 
     @property
     def warmed_up(self) -> bool:
@@ -83,10 +78,11 @@ class ArmaTrafficEstimator:
         self._pending_total += total_slots
         s = self.sample_interval_slots
         while self._pending_total >= s:
-            # Apportion the buffered busy mass to one interval.  Counts
-            # arrive in coarse chunks (per contention period), so an
-            # exact per-slot split is not available; the proportional
-            # split preserves the mean, which is all eq. 6 uses.
+            # Apportion the buffered busy mass to one interval.  Chunk
+            # totals do not say where inside a chunk the busy slots
+            # fell, so the split is proportional (it preserves the
+            # mean); a caller holding the slot timeline folds exact
+            # intervals through update() instead.
             fraction = self._pending_busy / self._pending_total
             take_busy = fraction * s
             self.update(min(max(take_busy / s, 0.0), 1.0))

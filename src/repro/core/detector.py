@@ -37,8 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from repro.core.arma import ArmaTrafficEstimator
-from repro.core.bianchi import CompetingTerminalEstimator
 from repro.core.density import NodeDensityEstimator
 from repro.core.deterministic import (
     AttemptNumberVerifier,
@@ -61,6 +59,7 @@ from repro.util.caches import register_cache_reset
 from repro.util.units import Slots
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
+    from repro.core.bianchi import CompetingTerminalEstimator
     from repro.core.deterministic import DeterministicViolation
     from repro.core.observation import ObservedTransmission
     from repro.core.observatory import BatchScheduler, ObservatorySubscription
@@ -235,10 +234,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
                 kwargs["separation"] = separation
             region_model = cached_region_model(**kwargs)
         self.state_estimator = SystemStateEstimator(region_model)
-        self.arma = ArmaTrafficEstimator(
-            cfg.arma_alpha, cfg.arma_interval_slots
-        )
-        self.terminal_estimator = CompetingTerminalEstimator()
         self.density_estimator = NodeDensityEstimator(region_model=region_model)
         self.test = BackoffHypothesisTest(
             cfg.sample_size, cfg.alpha, cfg.alternative
@@ -274,8 +269,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
         )
         self._verdict_seq = 0
         self._tracer = active_tracer()
-        #: first slot this detector saw
-        self._birth_slot: Optional[int] = None
         #: P(sender invisible to tagged | sensed)
         self._invisible_ewma: Optional[float] = None
         self._occupancy_samples = 0
@@ -329,8 +322,15 @@ class BackoffMisbehaviorDetector(SimulationListener):
 
     @property
     def rho(self) -> float:
-        """Current ARMA traffic-intensity estimate."""
-        return self.arma.estimate
+        """Current ARMA traffic-intensity estimate (eq. 6), read on demand."""
+        return self.observer.rho()
+
+    @property
+    def terminal_estimator(self) -> "CompetingTerminalEstimator":
+        """The channel's shared competing-terminal estimator (Bianchi)."""
+        terminal = self.observer.terminal
+        assert terminal is not None
+        return terminal
 
     def _record_occupancy(self, invisible: bool) -> None:
         value = 1.0 if invisible else 0.0
@@ -368,7 +368,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
 
     # -- the main sample pipeline -------------------------------------------
 
-    def _process_new_observations(self, medium: "Medium") -> None:
+    def _process_new_observations(self) -> None:
         observed = self.observer.observed
         while self._processed < len(observed):
             index = self._processed
@@ -445,8 +445,12 @@ class BackoffMisbehaviorDetector(SimulationListener):
         if violation is not None:
             self._record_violation(violation)
 
-        warmup_end = (self._birth_slot or 0) + self.config.warmup_slots
-        if current.start_slot < warmup_end:
+        # The warm-up counts from the ARMA feed's birth (its channel's
+        # first sensed transmission start after the attach).
+        feed = self.observer.feed
+        assert feed is not None
+        birth = feed.birth_slot
+        if birth is None or current.start_slot < birth + self.config.warmup_slots:
             self._skip_sample()
             return
         if busy > self.config.max_busy_factor * (window + 1):

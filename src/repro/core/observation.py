@@ -237,7 +237,6 @@ class ChannelViewBase:
         self._own_starts: List[int] = []
         self._own_ends: List[int] = []
         self.monitor_tx_slots = 0    # air time of the monitor's own frames
-        self.last_slot = 0
 
     # -- busy/idle accounting ----------------------------------------------------
 
@@ -302,11 +301,6 @@ class ChannelViewBase:
         busy = self.busy_slots_in(start, end)
         return (end - start) - busy, busy
 
-    def busy_after(self, slot: Slots) -> bool:
-        """True if any busy interval extends past ``slot``."""
-        ends = self._busy_ends
-        return bool(ends) and ends[-1] > slot
-
     def own_tx_slots_in(self, start: Slots, end: Slots) -> Slots:
         """Slots in [start, end) spent transmitting by the monitor itself.
 
@@ -334,7 +328,7 @@ class ChannelViewBase:
         """Drop timeline intervals that end at or before ``horizon``.
 
         The long-running streaming service calls this with the oldest
-        slot any live query can still reach (ARMA cursors, pending
+        slot any live query can still reach (ARMA feed cursors, pending
         sample anchors); intervals straddling the horizon are kept
         whole, so every query over ``[horizon, ∞)`` is unchanged.
         Returns the number of intervals dropped.

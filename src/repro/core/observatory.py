@@ -9,16 +9,20 @@ exists only as a subscription created by
 simply a one-subscriber observatory.  It ingests each transmission
 **once** and fans the result out cheaply, so D detectors on one node do
 not pay for D ``senses()`` lookups, D copies of the same busy-interval
-timeline or D identical ARMA ingests:
+timeline or D identical estimators:
 
 * sensed/decodable status is resolved per *monitor node* once, from the
   medium's cached :meth:`~repro.phy.medium.Medium.sensors_of`
-  frozensets;
+  frozensets, and an event touches only the channels of the monitors
+  that sensed it;
 * one :class:`MonitorChannel` (busy timeline + own-tx ledger) exists per
   monitor node, shared by every detector observing from that node;
-* per-channel *feeds* advance the ARMA traffic estimator and the
-  Bianchi competing-terminal estimator once per event and are shared by
-  every same-configuration detector on the channel;
+* per-channel *feeds* — the Bianchi competing-terminal estimator, fed
+  per sensed attempt, and the ARMA traffic estimator, folded over fixed
+  intervals of the channel's own busy timeline when rho is read — are
+  shared by every same-configuration detector attached with no channel
+  event in between (no sensed start for the ARMA feed, no counted
+  attempt for the terminal estimator);
 * detectors subscribe via :class:`ObservatorySubscription` — the
   shared channel plus a private ``ObservedTransmission`` demux of their
   tagged node.
@@ -35,11 +39,12 @@ history a newly arrived monitor could never have seen — use
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.arma import ArmaTrafficEstimator
 from repro.core.batch import rank_sum_many
+from repro.core.bianchi import CompetingTerminalEstimator
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observation import ChannelViewBase, ObservedTransmission
 from repro.core.ranksum import rank_sum_test
@@ -48,8 +53,6 @@ from repro.sim.listeners import SimulationListener
 from repro.util.units import Slots
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.core.arma import ArmaTrafficEstimator
-    from repro.core.bianchi import CompetingTerminalEstimator
     from repro.faults.schedule import FaultSchedule
     from repro.mac.constants import MacTiming
     from repro.obs.audit import DecisionAuditLog
@@ -59,119 +62,59 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
 
 Position = Tuple[float, float]
 
-#: Feed key: (attach epoch, arma alpha, arma interval, exchange slots).
-_ArmaKey = Tuple[int, float, int, int]
+#: Unborn-feed key: (arma alpha, arma interval, exchange slots).
+_ArmaKey = Tuple[float, int, int]
 
 
 class _ArmaFeed:
-    """One shared ARMA ingest stream on a :class:`MonitorChannel`.
+    """One shared eq.-6 estimator on a :class:`MonitorChannel`.
 
-    The cursor starts at the first event's start slot (which also fixes
-    the subscribed detectors' birth slot) and only slots older than one
-    full exchange are ingested: busy intervals are recorded when
+    rho is a pure function of the channel's own busy timeline: eq. 6
+    smooths the busy fraction of every complete fixed interval
+    ``[birth + k*s, birth + (k+1)*s)`` that ends by the finalized
+    horizon ``slot - exchange_slots`` (busy intervals are recorded when
     transmissions *end*, so newer slots may still gain busy mass from
-    in-flight transmissions.  Every detector whose (arma_alpha,
-    arma_interval_slots, exchange_slots, attach epoch) matches shares
-    this feed's estimator instance.
+    in-flight transmissions).  Intervals are folded when rho is read;
+    folding earlier or later never changes a value, so no event on
+    another channel can move it.  Before the first interval completes,
+    rho is the raw busy mean from birth to the horizon.
+
+    The birth is the start slot of the first transmission the channel
+    senses after the feed was created, so a stream whose slots start
+    far from 0 reads as the same stream shifted to 0.  Every detector
+    attached before that start with the same key shares the feed.
     """
 
-    __slots__ = ("arma", "exchange_slots", "cursor", "birth_slot", "detectors")
+    __slots__ = ("arma", "exchange_slots", "birth_slot", "cursor")
 
-    def __init__(self, arma: "ArmaTrafficEstimator", exchange_slots: int) -> None:
-        self.arma = arma
+    def __init__(
+        self, alpha: float, interval_slots: int, exchange_slots: int
+    ) -> None:
+        self.arma = ArmaTrafficEstimator(alpha, interval_slots)
         self.exchange_slots = exchange_slots
-        self.cursor = 0
-        self.birth_slot: Optional[int] = None
-        self.detectors: List[BackoffMisbehaviorDetector] = []
+        self.birth_slot: Optional[Slots] = None
+        #: start of the first interval not folded yet (None before birth)
+        self.cursor: Optional[Slots] = None
 
-    def advance(
-        self, slot: Slots, tx_start_slot: Slots, channel: "MonitorChannel"
-    ) -> None:
-        """Ingest finalized slots up to ``slot - exchange_slots``."""
-        if self.birth_slot is None:
-            birth = tx_start_slot
-            self.birth_slot = birth
-            self.cursor = birth
-            for detector in self.detectors:
-                detector._birth_slot = birth
-        target = slot - self.exchange_slots
-        if target <= self.cursor:
-            return
-        idle, busy = channel.idle_busy_counts(self.cursor, target)
-        self.arma.ingest(busy, idle + busy)
-        self.cursor = target
-
-    def replay(
-        self,
-        log: "List[Tuple[Slots, Slots, Slots]]",
-        start: int,
-        channel: "MonitorChannel",
-    ) -> None:
-        """Advance through deferred end events, fold-for-fold identical
-        to :meth:`advance` having been called at each one.
-
-        ``log`` holds one entry per *distinct* dispatch slot — exactly
-        the granularity :meth:`advance` folds at, since repeat calls at
-        an unchanged slot hit the ``target <= cursor`` early return.
-        Chunking matters in exactly two places, and both are honored:
-        busy slots are apportioned by the fraction pending when an
-        interval completes, so (a) entries are folded one at a time
-        while busy intervals remain past the cursor, and (b) once the
-        remaining stretch is pure idle, entries merge freely *between*
-        interval boundaries (accumulating into the pending buffer is
-        associative) while each boundary-crossing entry folds alone.
-        With nothing busy pending at all the fraction is identically
-        ``0.0`` under any chunking and the whole tail merges into one
-        ingest.  Every branch is bit-identical to the per-event
-        sequence.
-        """
-        i = start
-        n = len(log)
-        if self.birth_slot is None and i < n:
-            # Birth comes from the first event after feed creation,
-            # exactly as the eager per-event advance fixes it.
-            slot, tx_start, _end = log[i]
-            self.advance(slot, tx_start, channel)
-            i += 1
+    def read(self, channel: "MonitorChannel", slot: Slots) -> float:
+        """rho as of ``slot``: fold every complete interval that ends by
+        ``slot - exchange_slots``."""
+        birth = self.birth_slot
+        cursor = self.cursor
+        if birth is None or cursor is None:
+            return 0.0
         arma = self.arma
-        exchange = self.exchange_slots
-        while i < n and channel.busy_after(self.cursor):
-            target = log[i][0] - exchange
-            i += 1
-            if target <= self.cursor:
-                continue
-            idle, busy = channel.idle_busy_counts(self.cursor, target)
-            arma.ingest(busy, idle + busy)
-            self.cursor = target
-        if i >= n:
-            return
-        last_target = log[n - 1][0] - exchange
-        if last_target <= self.cursor:
-            return
-        if arma.pending_busy == 0.0:
-            arma.ingest(0, last_target - self.cursor)
-            self.cursor = last_target
-            return
         s = arma.sample_interval_slots
-        while i < n:
-            # Entries below `bound` cannot complete an interval even
-            # merged; the first at or past it must fold alone so the
-            # apportioning fraction sees its exact chunk.
-            bound = self.cursor + exchange + (s - arma.pending_total)
-            j = bisect.bisect_left(log, (bound,), i, n)
-            if j > i:
-                merged = log[j - 1][0] - exchange
-                if merged > self.cursor:
-                    arma.ingest(0, merged - self.cursor)
-                    self.cursor = merged
-                i = j
-                if i >= n:
-                    return
-            target = log[i][0] - exchange
-            i += 1
-            if target > self.cursor:
-                arma.ingest(0, target - self.cursor)
-                self.cursor = target
+        horizon = slot - self.exchange_slots
+        while cursor + s <= horizon:
+            arma.update(channel.busy_slots_in(cursor, cursor + s) / s)
+            cursor += s
+        self.cursor = cursor
+        if cursor > birth:
+            return arma.estimate
+        if horizon <= birth:
+            return 0.0
+        return channel.busy_slots_in(birth, horizon) / (horizon - birth)
 
 
 class MonitorChannel(ChannelViewBase):
@@ -180,75 +123,39 @@ class MonitorChannel(ChannelViewBase):
     def __init__(self, monitor_id: int) -> None:
         ChannelViewBase.__init__(self)
         self.monitor_id = monitor_id
-        #: id(transmission) of in-flight transmissions sensed at start
-        self._sensed_keys: Set[int] = set()
-        #: end events ingested since this channel was created; feeds are
-        #: keyed by the value at attach time so only detectors that
-        #: joined at the same point in the stream share state.
-        self.events_ingested = 0
-        self._arma_by_key: Dict[_ArmaKey, _ArmaFeed] = {}
+        #: every ARMA feed on this channel, born or not
         self.arma_feeds: List[_ArmaFeed] = []
-        self._terminal_by_epoch: Dict[int, "CompetingTerminalEstimator"] = {}
-        self.terminal_feeds: List["CompetingTerminalEstimator"] = []
-        #: lazy-ingest bookkeeping: position in the observatory's
-        #: end-event log / raw event count this channel has absorbed
-        #: (see SharedChannelObservatory.enable_lazy_ingest)
-        self._lazy_log_index = 0
-        self._lazy_events = 0
+        #: feeds waiting for the channel's next sensed transmission start
+        self.unborn_feeds: Dict[_ArmaKey, _ArmaFeed] = {}
+        #: the terminal feed detectors attached since the last counted
+        #: attempt share (None once an attempt is counted)
+        self.open_terminal: Optional[CompetingTerminalEstimator] = None
+        self.terminal_feeds: List[CompetingTerminalEstimator] = []
         #: detectors with occupancy correction enabled (per-tagged EWMA)
         self.occupancy_detectors: List[BackoffMisbehaviorDetector] = []
         #: live subscriptions reading this channel
         self.subscribers = 0
 
-    def ingest_end(
-        self,
-        slot: Slots,
-        key: int,
-        sender: int,
-        sensors: "FrozenSet[int]",
-        start_slot: Slots,
-        end_slot: Slots,
-        collided: bool,
-    ) -> None:
-        """Absorb one end event: timeline, estimator feeds, bookkeeping."""
-        monitor = self.monitor_id
-        if end_slot > self.last_slot:
-            self.last_slot = end_slot
-        if key in self._sensed_keys:
-            self._sensed_keys.remove(key)
-            self._add_busy_interval(start_slot, end_slot)
-            if sender == monitor:
-                self._add_own_interval(start_slot, end_slot)
-        self.events_ingested += 1
-        if sender != monitor and monitor in sensors:
-            # Every sensed attempt feeds the shared collision-
-            # probability estimate behind the density inversion.
-            for terminal in self.terminal_feeds:
-                terminal.record_attempt(collided=collided)
-            for detector in self.occupancy_detectors:
-                if sender != detector.tagged_id:
-                    detector._record_occupancy(
-                        invisible=detector.tagged_id not in sensors
-                    )
-        for feed in self.arma_feeds:
-            feed.advance(slot, start_slot, self)
+    def close_busy(self, sender: int, start_slot: Slots, end_slot: Slots) -> None:
+        """Record one ended transmission this monitor sensed at its start."""
+        self._add_busy_interval(start_slot, end_slot)
+        if sender == self.monitor_id:
+            self._add_own_interval(start_slot, end_slot)
 
-    def replay_deferred(
-        self, log: "List[Tuple[Slots, Slots, Slots]]", start: int
+    def record_sensed(
+        self, sender: int, sensors: "FrozenSet[int]", collided: bool
     ) -> None:
-        """Catch up on end events this channel was not involved in.
-
-        Reproduces exactly what per-event :meth:`ingest_end` calls with
-        no sensed key, no own traffic, and a foreign non-sensing sender
-        would have done: bump ``last_slot`` and advance the ARMA feeds.
-        (``events_ingested`` is settled by the observatory, which knows
-        the raw event count behind the distinct-slot log.)
-        """
-        last_end = log[-1][2]
-        if last_end > self.last_slot:
-            self.last_slot = last_end
-        for feed in self.arma_feeds:
-            feed.replay(log, start, self)
+        """Count one sensed foreign attempt toward the shared estimators."""
+        # Every sensed attempt feeds the shared collision-probability
+        # estimate behind the density inversion.
+        for terminal in self.terminal_feeds:
+            terminal.record_attempt(collided=collided)
+        self.open_terminal = None
+        for detector in self.occupancy_detectors:
+            if sender != detector.tagged_id:
+                detector._record_occupancy(
+                    invisible=detector.tagged_id not in sensors
+                )
 
 
 class ObservatorySubscription:
@@ -266,6 +173,8 @@ class ObservatorySubscription:
         "_observatory",
         "_decodable_keys",
         "_detector",
+        "feed",
+        "terminal",
     )
 
     def __init__(
@@ -284,6 +193,15 @@ class ObservatorySubscription:
         #: id(transmission) of in-flight tagged tx decodable at start
         self._decodable_keys: Set[int] = set()
         self._detector: Optional[BackoffMisbehaviorDetector] = None
+        #: the channel's shared ARMA feed this detector reads rho from
+        self.feed: Optional[_ArmaFeed] = None
+        #: the channel's shared competing-terminal estimator
+        self.terminal: Optional[CompetingTerminalEstimator] = None
+
+    def rho(self) -> float:
+        """The detector's rho, read at the observatory's stream clock."""
+        assert self.feed is not None
+        return self.feed.read(self.channel, self._observatory.slot)
 
     @property
     def faults(self) -> "Optional[FaultSchedule]":
@@ -422,20 +340,13 @@ class SharedChannelObservatory(SimulationListener):
         #: every live channel, shared and fresh, in creation order
         self._channel_list: List[MonitorChannel] = []
         #: monitor id -> every live channel on that node, shared and
-        #: fresh (the lazy ingest plane's dispatch index)
+        #: fresh (the ingest dispatch index)
         self._monitor_index: Dict[int, List[MonitorChannel]] = {}
-        #: lazy mode (serve): defer uninvolved channels' idle accounting
-        self._lazy = False
-        #: channels holding each in-flight sensed key (lazy mode only;
-        #: lets ingest_end find start-time sensors without a scan)
+        #: channels that sensed each in-flight transmission at its start
         self._sensed_by_key: Dict[int, List[MonitorChannel]] = {}
-        #: one entry per distinct end-event dispatch slot:
-        #: (slot, first event's tx start slot, cumulative max end slot)
-        self._end_log: List[Tuple[Slots, Slots, Slots]] = []
-        #: absolute index of _end_log[0] (entries before it were trimmed)
-        self._end_log_base = 0
-        #: raw end events absorbed by the lazy plane
-        self._end_events = 0
+        #: the stream clock: slot of the latest ingested event, where
+        #: rho is read
+        self.slot: Slots = 0
         #: tagged id -> subscriptions, in attach order (= audit order)
         self._subs_by_tagged: Dict[int, List[ObservatorySubscription]] = {}
         #: units receiving position epochs (detectors, hand-off managers)
@@ -478,13 +389,8 @@ class SharedChannelObservatory(SimulationListener):
             channel = MonitorChannel(monitor_id)
             self._channel_list.append(channel)
             self._monitor_index.setdefault(monitor_id, []).append(channel)
-            channel._lazy_log_index = self._end_log_base + len(self._end_log)
-            channel._lazy_events = self._end_events
             if not fresh_channel:
                 self._channels[monitor_id] = channel
-        elif self._lazy:
-            # Feed epochs key on events_ingested: settle it first.
-            self._sync_channel(channel)
         subscription = ObservatorySubscription(
             self, channel, monitor_id, tagged_id
         )
@@ -501,7 +407,7 @@ class SharedChannelObservatory(SimulationListener):
         )
         subscription._detector = detector
         channel.subscribers += 1
-        self._share_feeds(channel, detector)
+        self._share_feeds(subscription, detector)
         self._subs_by_tagged.setdefault(tagged_id, []).append(subscription)
         self.detectors.append(detector)
         if position_unit:
@@ -509,31 +415,26 @@ class SharedChannelObservatory(SimulationListener):
         return detector
 
     def _share_feeds(
-        self, channel: MonitorChannel, detector: BackoffMisbehaviorDetector
+        self,
+        subscription: ObservatorySubscription,
+        detector: BackoffMisbehaviorDetector,
     ) -> None:
         """Point the detector at the channel's shared estimator feeds."""
-        epoch = channel.events_ingested
+        channel = subscription.channel
         cfg = detector.config
-        key: _ArmaKey = (
-            epoch,
-            cfg.arma_alpha,
-            cfg.arma_interval_slots,
-            detector.timing.exchange_slots,
-        )
-        feed = channel._arma_by_key.get(key)
+        exchange = detector.timing.exchange_slots
+        key: _ArmaKey = (cfg.arma_alpha, cfg.arma_interval_slots, exchange)
+        feed = channel.unborn_feeds.get(key)
         if feed is None:
-            feed = _ArmaFeed(detector.arma, detector.timing.exchange_slots)
-            channel._arma_by_key[key] = feed
+            feed = _ArmaFeed(cfg.arma_alpha, cfg.arma_interval_slots, exchange)
+            channel.unborn_feeds[key] = feed
             channel.arma_feeds.append(feed)
-        else:
-            detector.arma = feed.arma
-        feed.detectors.append(detector)
-        terminal = channel._terminal_by_epoch.get(epoch)
+        subscription.feed = feed
+        terminal = channel.open_terminal
         if terminal is None:
-            channel._terminal_by_epoch[epoch] = detector.terminal_estimator
-            channel.terminal_feeds.append(detector.terminal_estimator)
-        else:
-            detector.terminal_estimator = terminal
+            terminal = channel.open_terminal = CompetingTerminalEstimator()
+            channel.terminal_feeds.append(terminal)
+        subscription.terminal = terminal
         if cfg.occupancy_correction:
             channel.occupancy_detectors.append(detector)
 
@@ -557,9 +458,6 @@ class SharedChannelObservatory(SimulationListener):
             self._position_units.remove(detector)
         if detector in channel.occupancy_detectors:
             channel.occupancy_detectors.remove(detector)
-        for feed in channel.arma_feeds:
-            if detector in feed.detectors:
-                feed.detectors.remove(detector)
         channel.subscribers -= 1
         if channel.subscribers <= 0:
             self._channel_list.remove(channel)
@@ -574,71 +472,6 @@ class SharedChannelObservatory(SimulationListener):
     def add_position_listener(self, unit: SimulationListener) -> None:
         """Forward mobility epochs to ``unit`` (e.g. a MonitorHandoff)."""
         self._position_units.append(unit)
-
-    # -- lazy ingest plane (serve) -----------------------------------------
-
-    def enable_lazy_ingest(self) -> None:
-        """Defer uninvolved channels' per-event idle accounting.
-
-        The eager ingest plane touches every live channel on every end
-        event — an uninvolved channel still folds the event's slots
-        into its ARMA feeds as idle — which is O(channels) per event
-        and fatal when one session tracks 10^5 links.  In lazy mode
-        ``ingest_end`` touches only the channels the event can affect
-        (sensing monitors, the sender's own node, the demux targets)
-        and records the event in a shared distinct-slot log; every
-        other channel replays the log on its next involvement.  The
-        replay is fold-for-fold identical to the eager plane (see
-        :meth:`_ArmaFeed.replay`), so observations, verdicts and logs
-        stay byte-identical; only the *timing* of the idle folds moves.
-
-        Serve sessions enable this; the engine listener path never does
-        (tests and analyses there inspect feed state mid-run and expect
-        it eagerly current).  Call :meth:`sync_ingest` before reading
-        feed state from outside an ingest callback.
-        """
-        self._lazy = True
-        tip = self._end_log_base + len(self._end_log)
-        for channel in self._channel_list:
-            channel._lazy_log_index = tip
-            channel._lazy_events = self._end_events
-
-    def sync_ingest(self) -> None:
-        """Catch every lazy channel up and trim the shared event log."""
-        if not self._lazy:
-            return
-        for channel in self._channel_list:
-            self._sync_channel(channel)
-        self._end_log_base += len(self._end_log)
-        self._end_log.clear()
-
-    def _sync_channel(self, channel: MonitorChannel) -> None:
-        """Replay whatever end events a lazy channel has deferred."""
-        start = channel._lazy_log_index - self._end_log_base
-        if start < len(self._end_log):
-            channel.replay_deferred(self._end_log, start)
-            channel._lazy_log_index = self._end_log_base + len(self._end_log)
-        behind = self._end_events - channel._lazy_events
-        if behind:
-            channel.events_ingested += behind
-            channel._lazy_events = self._end_events
-
-    def _log_end_event(
-        self, slot: Slots, start_slot: Slots, end_slot: Slots
-    ) -> None:
-        """Append one end event to the distinct-slot log."""
-        self._end_events += 1
-        log = self._end_log
-        if log and log[-1][0] == slot:
-            # Same dispatch slot: feed folds are idempotent (the target
-            # is unchanged), so only the cumulative end max can move.
-            prev = log[-1]
-            if end_slot > prev[2]:
-                log[-1] = (slot, prev[1], end_slot)
-        else:
-            if log and log[-1][2] > end_slot:
-                end_slot = log[-1][2]
-            log.append((slot, start_slot, end_slot))
 
     # -- medium-free ingest plane ------------------------------------------
     #
@@ -656,25 +489,19 @@ class SharedChannelObservatory(SimulationListener):
         sensors: "FrozenSet[int]",
         decodable_monitors: "FrozenSet[int]",
     ) -> None:
-        """Mark one transmission start: sensed keys and decode flags."""
-        if self._lazy:
-            index = self._monitor_index
-            sensed: List[MonitorChannel] = []
-            for node in sensors:
-                for channel in index.get(node, ()):
-                    channel._sensed_keys.add(key)
-                    sensed.append(channel)
-            if sender not in sensors:
-                for channel in index.get(sender, ()):
-                    channel._sensed_keys.add(key)
-                    sensed.append(channel)
-            if sensed:
-                self._sensed_by_key[key] = sensed
-        else:
-            for channel in self._channel_list:
-                monitor = channel.monitor_id
-                if monitor == sender or monitor in sensors:
-                    channel._sensed_keys.add(key)
+        """Mark one transmission start: sensing channels and decode flags."""
+        self.slot = slot
+        index = self._monitor_index
+        sensed = [channel for node in sensors for channel in index.get(node, ())]
+        if sender not in sensors:
+            sensed.extend(index.get(sender, ()))
+        if sensed:
+            self._sensed_by_key[key] = sensed
+            for channel in sensed:
+                if channel.unborn_feeds:  # born at the first start it senses
+                    for feed in channel.unborn_feeds.values():
+                        feed.birth_slot = feed.cursor = slot
+                    channel.unborn_feeds.clear()
         subs = self._subs_by_tagged.get(sender)
         if not subs:
             return
@@ -693,52 +520,23 @@ class SharedChannelObservatory(SimulationListener):
         success: bool,
         frame: object,
         sensors: "FrozenSet[int]",
-        medium: "Optional[Medium]" = None,
     ) -> None:
         """Absorb one transmission end: timelines, demux, evaluation."""
+        self.slot = slot
+        # Only the channels that sensed the start (the sender's own
+        # included) gain a busy interval, and only the end-time sensing
+        # monitors count the attempt; no other channel is touched.  A
+        # channel detached while the transmission was in flight is dead
+        # (subscribers == 0) and stays frozen.
+        for channel in self._sensed_by_key.pop(key, ()):
+            if channel.subscribers > 0:
+                channel.close_busy(sender, start_slot, end_slot)
         collided = not success
-        if self._lazy:
-            index = self._monitor_index
-            involved: Dict[int, MonitorChannel] = {}
-            for node in sensors:
+        index = self._monitor_index
+        for node in sensors:
+            if node != sender:
                 for channel in index.get(node, ()):
-                    involved[id(channel)] = channel
-            for channel in index.get(sender, ()):
-                involved[id(channel)] = channel
-            # Sensed at start but outside the end-time sensor set
-            # (mobility): the in-flight key still closes a busy
-            # interval on those channels.  A channel detached while the
-            # transmission was in flight is dead (subscribers == 0) and
-            # must be skipped, exactly as the eager channel-list loop
-            # no longer visits it.
-            for channel in self._sensed_by_key.pop(key, ()):
-                if channel.subscribers > 0:
-                    involved[id(channel)] = channel
-            demux_subs = self._subs_by_tagged.get(sender)
-            if demux_subs:
-                for subscription in demux_subs:
-                    involved[id(subscription.channel)] = subscription.channel
-            for channel in involved.values():
-                self._sync_channel(channel)
-            self._log_end_event(slot, start_slot, end_slot)
-            tip = self._end_log_base + len(self._end_log)
-            for channel in involved.values():
-                channel.ingest_end(
-                    slot, key, sender, sensors, start_slot, end_slot, collided
-                )
-                channel._lazy_log_index = tip
-                channel._lazy_events = self._end_events
-        else:
-            for channel in self._channel_list:
-                channel.ingest_end(
-                    slot,
-                    key,
-                    sender,
-                    sensors,
-                    start_slot,
-                    end_slot,
-                    collided,
-                )
+                    channel.record_sensed(sender, sensors, collided)
         subs = self._subs_by_tagged.get(sender)
         if self._tracer is not None:
             self._tracer.instant(
@@ -786,7 +584,7 @@ class SharedChannelObservatory(SimulationListener):
         for subscription in subs:
             detector = subscription._detector
             if detector is not None:
-                detector._process_new_observations(medium)
+                detector._process_new_observations()
 
     def ingest_positions(
         self,
@@ -795,6 +593,7 @@ class SharedChannelObservatory(SimulationListener):
         medium: "Optional[Medium]" = None,
     ) -> None:
         """Forward a mobility epoch to every registered position unit."""
+        self.slot = slot
         for unit in self._position_units:
             unit.on_positions_updated(slot, positions, medium)
 
@@ -841,7 +640,6 @@ class SharedChannelObservatory(SimulationListener):
             success,
             transmission.frame,
             medium.sensors_of(transmission.sender),
-            medium,
         )
 
     def on_positions_updated(

@@ -310,9 +310,6 @@ class ServeSession:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.observatory = SharedChannelObservatory()
-        # O(involved channels) per event instead of O(all channels) —
-        # byte-identical artifacts, mandatory at serve link counts.
-        self.observatory.enable_lazy_ingest()
         self.scheduler = BatchScheduler()
         self.stream_metrics = MetricsRegistry()
         self.link_metrics = MetricsRegistry()
@@ -504,7 +501,6 @@ class ServeSession:
     def finish(self) -> "ServeResult":
         """Flush pending work and snapshot the session's result."""
         if not self.finished:
-            self.observatory.sync_ingest()
             self._flush()
             self.link_metrics.set_gauge("serve.links.tracked", len(self.table))
             self.finished = True
@@ -548,9 +544,6 @@ class ServeSession:
     def _maintain(self) -> None:
         """Prune timelines and compact demuxes behind live query reach."""
         self._ends_since_maintain = 0
-        # Settle deferred idle folds (and trim the shared event log)
-        # before reading feed cursors as prune horizons.
-        self.observatory.sync_ingest()
         pruned = self._prune_timelines()
         compacted = 0
         for state in self.table.states():
@@ -570,9 +563,13 @@ class ServeSession:
 
         The horizon is the minimum of each subscription's sample anchor
         (the end slot of its last processed observation — the next
-        interval query starts there) and each ARMA feed's cursor (its
-        next ingest starts there).  ``prune_before`` keeps straddling
-        intervals whole, so all later queries are unchanged.
+        interval query starts there) and each born ARMA feed's cursor
+        (its next fold, or its raw mean before the first, starts there).
+        Feeds are only read here, never folded: a fold happens at a rho
+        read, so where the cursor stands cannot depend on the
+        maintenance cadence.  An unborn feed reads nothing before its
+        birth, a sensed start still ahead.  ``prune_before`` keeps
+        straddling intervals whole, so all later queries are unchanged.
         """
         horizons: Dict[int, Tuple[object, Slots]] = {}
         for state in self.table.states():
@@ -590,10 +587,8 @@ class ServeSession:
         for channel, anchor in horizons.values():
             horizon = anchor
             for feed in channel.arma_feeds:  # type: ignore[attr-defined]
-                if feed.birth_slot is None:
-                    horizon = 0
-                    break
-                horizon = min(horizon, feed.cursor)
+                if feed.cursor is not None:
+                    horizon = min(horizon, feed.cursor)
             if horizon > 0:
                 total += channel.prune_before(horizon)  # type: ignore[attr-defined]
         return total

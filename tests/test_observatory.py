@@ -76,11 +76,10 @@ class TestFeedSharing:
             assert channel.subscribers == 4
             assert len(channel.arma_feeds) == 1
             assert len(channel.terminal_feeds) == 1
-            assert len(channel.arma_feeds[0].detectors) == 4
         for detector in detectors:
             channel = observatory._channels[detector.monitor_id]
             assert detector.observer.channel is channel
-            assert detector.arma is channel.arma_feeds[0].arma
+            assert detector.observer.feed is channel.arma_feeds[0]
             assert detector.terminal_estimator is channel.terminal_feeds[0]
 
 
