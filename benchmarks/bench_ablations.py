@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from repro.analysis import wilson_interval
 from repro.core.detector import DetectorConfig
 from repro.core.ranksum import rank_sum_test
 from repro.experiments.parallel import run_trials
@@ -80,14 +81,31 @@ def bench_ablation_arma_alpha(benchmark):
             ],
         )
         return {
-            alpha: _rates(det) for alpha, det in zip(alphas, detectors)
+            alpha: windowed_detection_rate(
+                det, SAMPLE_SIZE, include_deterministic=False
+            )
+            for alpha, det in zip(alphas, detectors)
         }
 
-    rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    cells = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    for alpha, rate in rates.items():
-        print(f"ablation ARMA alpha={alpha}: detection rate {rate:.3f}")
-    write_bench_manifest("ablation_arma_alpha", rates, seed=71)
+    rates = {}
+    for alpha, (rate, windows) in cells.items():
+        rates[alpha] = rate
+        hits = round(rate * windows)
+        low, high = wilson_interval(hits, windows)
+        print(
+            f"ablation ARMA alpha={alpha}: detection rate {rate:.3f} "
+            f"({hits}/{windows} windows, 95% CI [{low:.3f}, {high:.3f}])"
+        )
+    write_bench_manifest(
+        "ablation_arma_alpha",
+        {
+            alpha: {"rate": rate, "windows": windows}
+            for alpha, (rate, windows) in cells.items()
+        },
+        seed=71,
+    )
     values = list(rates.values())
     assert max(values) - min(values) < 0.4, "detection should not hinge on alpha"
 

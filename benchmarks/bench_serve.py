@@ -10,10 +10,10 @@ the detection-as-a-service design targets:
   detection state in KB per 10k tracked links from a tracemalloc-traced
   probe session over a fixed 10k-link slice (tracing costs ~5x wall
   time, and per-link state dominates, so the per-10k figure from the
-  probe is representative without tracing the full run).  This is the
-  scale the observatory's lazy ingest plane exists for: the eager plane
-  folds every event into every channel (O(links) per event) and never
-  finishes at 10^5 links on one box.
+  probe is representative without tracing the full run).  At this
+  scale ingest must touch only the channels an event involves: a
+  plane that folded every event into every channel (O(links) per
+  event) would never finish at 10^5 links on one box.
 * **verdict** — a small hot set (200 links) carrying deep streams
   (130 exchanges each), pricing the steady-state verdict pipeline:
   rank-sum windows batched at the flush cadence, incremental audit and

@@ -141,3 +141,43 @@ class TestRocSweep:
         cheat = self._detector(0.5, n=5)
         with pytest.raises(ValueError):
             roc_sweep(honest, cheat, sample_size=20)
+
+
+class TestWilsonInterval:
+    def test_textbook_values(self):
+        from repro.analysis import wilson_interval
+
+        low, high = wilson_interval(5, 10)
+        assert low == pytest.approx(0.2366, abs=1e-4)
+        assert high == pytest.approx(0.7634, abs=1e-4)
+        # Zero successes: the upper end is z^2 / (n + z^2).
+        z2 = 1.959963984540054 ** 2
+        assert wilson_interval(0, 10) == (0.0, pytest.approx(z2 / (10 + z2)))
+
+    def test_all_successes_mirror_zero_successes(self):
+        from repro.analysis import wilson_interval
+
+        for n in (1, 7, 40):
+            for k in range(n + 1):
+                low, high = wilson_interval(k, n)
+                mirror_low, mirror_high = wilson_interval(n - k, n)
+                assert low == pytest.approx(1.0 - mirror_high)
+                assert high == pytest.approx(1.0 - mirror_low)
+                assert 0.0 <= low <= k / n <= high <= 1.0
+        assert wilson_interval(12, 12)[1] == 1.0
+
+    def test_width_shrinks_with_trials(self):
+        from repro.analysis import wilson_interval
+
+        narrow = wilson_interval(100, 1000)
+        wide = wilson_interval(10, 100)
+        assert narrow[1] - narrow[0] < wide[1] - wide[0]
+
+    def test_no_trials_and_bad_input(self):
+        from repro.analysis import wilson_interval
+
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+        with pytest.raises(ValueError):
+            wilson_interval(3, 2)
+        with pytest.raises(ValueError):
+            wilson_interval(-1, 2)
